@@ -23,7 +23,6 @@ from .control import (
     empirical_control,
     quadrature_control,
     uhis_control,
-    uhis_control_general,
 )
 from .diagnostics import (
     AutocorrSeries,
@@ -37,7 +36,6 @@ from .diagnostics import (
 from .errors import (
     AccuracyError,
     ConfigError,
-    DegenerateProbeError,
     DegenerateProbeGaussianError,
     DomainError,
     FormatError,
@@ -46,20 +44,14 @@ from .errors import (
     IntegrationError,
 )
 from .kernels import (
+    MatrixBeta,
     ScalarBeta,
+    decompose,
     drift_prefactors,
     kernel_coeffs,
     log_g_minus,
     log_g_plus,
     log_kernel_ratio,
-)
-from .matrix_kernels import (
-    MatrixBeta,
-    decompose,
-    general_control_reduction,
-    log_g_minus_general,
-    log_g_plus_general,
-    log_kernel_ratio_general,
 )
 from .sampler import (
     RunConfig,
@@ -75,13 +67,11 @@ from .sde import (
     integrate_batch,
 )
 from .stationary import (
-    GeneralProbeGaussian,
     NonuniversalResult,
     ProbeGaussian,
     legendre_control,
     nonuniversal_point,
     universal_probe,
-    universal_probe_general,
 )
 from .targets import (
     DoubleWellEnergy,
@@ -104,7 +94,6 @@ __all__ = [
     "BatchTrajectories",
     "ConfigError",
     "ControlOutput",
-    "DegenerateProbeError",
     "DegenerateProbeGaussianError",
     "DomainError",
     "DoubleWellEnergy",
@@ -115,7 +104,6 @@ __all__ = [
     "FunctionControlEvaluator",
     "GaussianEnergy",
     "GaussianMixtureEnergy",
-    "GeneralProbeGaussian",
     "HpidError",
     "InputError",
     "IntegrationError",
@@ -140,7 +128,6 @@ __all__ = [
     "drift_prefactors",
     "empirical_control",
     "estimate_z_convergence",
-    "general_control_reduction",
     "grid_mixture",
     "integrate",
     "integrate_batch",
@@ -148,11 +135,8 @@ __all__ = [
     "legendre_control",
     "load_dataset",
     "log_g_minus",
-    "log_g_minus_general",
     "log_g_plus",
-    "log_g_plus_general",
     "log_kernel_ratio",
-    "log_kernel_ratio_general",
     "make_energy",
     "mixture_partition_oracle",
     "mode_assignment",
@@ -163,7 +147,5 @@ __all__ = [
     "transition_time",
     "transition_times_per",
     "uhis_control",
-    "uhis_control_general",
     "universal_probe",
-    "universal_probe_general",
 ]

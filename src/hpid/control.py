@@ -13,7 +13,8 @@ Three interchangeable ways to estimate the optimal drift at (t, x):
 Evaluator classes at the bottom adapt each to the integrator protocol:
 ``noise_shape(dim)`` declares per-call standard-normal demand (None for
 deterministic evaluators) and ``__call__(t, x, xi=None)`` returns a
-ControlOutput. All evaluators accept x with leading batch axes.
+ControlOutput. All evaluators accept x with leading batch axes, and all but
+the Legendre one take a scalar or a matrix potential alike.
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ from .errors import (
     InputError,
 )
 from .kernels import (
+    Potential,
     ScalarBeta,
     _as_points,
     _ret,
@@ -33,19 +35,8 @@ from .kernels import (
     drift_prefactors,
     log_kernel_ratio,
 )
-from .matrix_kernels import (
-    MatrixBeta,
-    general_control_reduction,
-    log_kernel_ratio_general,
-)
 from .rng import normals_from
-from .stationary import (
-    GeneralProbeGaussian,
-    ProbeGaussian,
-    legendre_control,
-    universal_probe,
-    universal_probe_general,
-)
+from .stationary import ProbeGaussian, legendre_control, universal_probe
 
 
 @dataclass
@@ -139,6 +130,19 @@ def _softmax_weights(log_w):
     return w, ess, w.max(axis=-1)
 
 
+def _drift_output(params: Potential, t, x, xhat, ess, max_w) -> ControlOutput:
+    """ControlOutput whose drift recomposes from the weighted state as
+    c1 (x̂ - c2 x), axis by axis in the potential's eigenbasis."""
+    c1, c2 = drift_prefactors(params, t)
+    to = params.to_eigenbasis
+    return ControlOutput(
+        drift=params.from_eigenbasis(c1 * (to(xhat) - c2 * to(x))),
+        weighted_state=xhat,
+        ess=_ret(ess),
+        max_weight=_ret(max_w),
+    )
+
+
 def _weighted_state(log_w, ys):
     """Softmax weights of log_w (..., n) and their average of ys (..., n, d)."""
     w, ess, max_w = _softmax_weights(log_w)
@@ -154,10 +158,7 @@ def _probe_or_wide(params, t, x, t_min, wide_sigma2):
         except DegenerateProbeGaussianError:
             pass
     wide = ProbeGaussian(
-        mean=np.zeros_like(x),
-        precision_scalar=1.0 / wide_sigma2,
-        t=float(t),
-        beta=params.beta,
+        mean=np.zeros_like(x), precision=1.0 / wide_sigma2, t=float(t), params=params
     )
     return wide, False
 
@@ -184,15 +185,17 @@ def _draw_noise(cfg: UhisConfig, batch_shape: tuple, dim: int) -> np.ndarray:
 
 
 def uhis_control(
-    params: ScalarBeta, cfg: UhisConfig, t: float, x, energy, xi=None
+    params: Potential, cfg: UhisConfig, t: float, x, energy, xi=None
 ) -> ControlOutput:
     """Importance-sampled optimal drift at (t, x) for an energy target.
 
-    Draws n_is points from the universal probe, weights them by
-    exp(-E(y)) times the kernel ratio over the probe density, and
-    recomposes the drift from the weighted state. Pass xi (standard
-    normals, shape x.shape[:-1] + (n_is, d)) to control the noise
-    explicitly; otherwise cfg.rng_stream supplies it.
+    Draws n_is points from the universal probe and weights them by
+    exp(-E(y)) alone: the kernel ratio over the probe density is constant
+    in y, so it cancels in the self-normalized weights. Only the wide
+    fallback probe carries that ratio explicitly. The drift recomposes
+    from the weighted state. Pass xi (standard normals, shape
+    x.shape[:-1] + (n_is, d)) to control the noise explicitly; otherwise
+    cfg.rng_stream supplies it.
     """
     _validate_t(t, 0.0, 1.0, True, False)
     x = _as_points(params, "x", x)
@@ -209,9 +212,9 @@ def uhis_control(
     panel = _shared_panel(xi) if (universal and x.ndim == 2) else None
     panel_fn = getattr(energy, "panel_logw", None)
     if panel is not None and panel_fn is not None:
-        # probe cancels the kernel ratio exactly, so the weights are
-        # exp(-E) alone and a shared panel never materializes (B, N, d)
-        scale = 1.0 / np.sqrt(probe.precision_scalar)
+        # the weights are exp(-E) alone, so a shared panel never
+        # materializes (B, N, d): y = mean + scale * panel row
+        scale, panel = probe.spread(panel)
         log_w = np.asarray(panel_fn(probe.mean, scale, panel), dtype=float)
         w, ess, max_w = _softmax_weights(log_w)
         # einsum, not gemm: its reduction order is independent of the
@@ -219,66 +222,21 @@ def uhis_control(
         xhat = probe.mean + scale * np.einsum("...n,nd->...d", w, panel)
     else:
         ys = probe.draw(xi)
-        log_w = log_kernel_ratio(params, t, x[..., None, :], ys) - probe.log_pdf(ys)
-        log_w = log_w - np.asarray(energy.value(ys), dtype=float)
+        energies = np.asarray(energy.value(ys), dtype=float)
+        if universal:
+            log_w = -energies
+        else:
+            log_w = (
+                log_kernel_ratio(params, t, x[..., None, :], ys)
+                - probe.log_pdf(ys)
+                - energies
+            )
         xhat, ess, max_w = _weighted_state(log_w, ys)
-    c1, c2 = drift_prefactors(params, t)
-    return ControlOutput(
-        drift=c1 * (xhat - c2 * x),
-        weighted_state=xhat,
-        ess=_ret(ess),
-        max_weight=_ret(max_w),
-    )
-
-
-def uhis_control_general(
-    params: MatrixBeta, cfg: UhisConfig, t: float, x, energy, xi=None
-) -> ControlOutput:
-    """uhis_control for a matrix potential: per-eigen-axis reduction."""
-    _validate_t(t, 0.0, 1.0, True, False)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if x.shape[-1] != params.dim:
-        raise InputError(
-            f"x must have trailing dimension {params.dim}, got shape {x.shape}"
-        )
-    probe = None
-    if t > cfg.t_min:
-        try:
-            probe = universal_probe_general(params, t, x)
-        except DegenerateProbeGaussianError:
-            probe = None
-    if probe is None:
-        probe = GeneralProbeGaussian(
-            mean=np.zeros_like(x),
-            precision_eig=np.full(params.dim, 1.0 / cfg.wide_sigma2),
-            eigvecs=params.eigvecs,
-            t=float(t),
-        )
-    if xi is None:
-        xi = _draw_noise(cfg, x.shape[:-1], params.dim)
-    else:
-        xi = np.asarray(xi, dtype=float)
-    ys = probe.draw(xi)
-    log_w = (
-        log_kernel_ratio_general(params, t, x[..., None, :], ys)
-        - probe.log_pdf(ys)
-        - np.asarray(energy.value(ys), dtype=float)
-    )
-    xhat, ess, max_w = _weighted_state(log_w, ys)
-    c1, c2 = general_control_reduction(params, t)  # (d,) each, eigenbasis
-    u_eig = c1 * (params.to_eigenbasis(xhat) - c2 * params.to_eigenbasis(x))
-    return ControlOutput(
-        drift=params.from_eigenbasis(u_eig),
-        weighted_state=xhat,
-        ess=_ret(ess),
-        max_weight=_ret(max_w),
-    )
+    return _drift_output(params, t, x, xhat, ess, max_w)
 
 
 def empirical_control(
-    params: ScalarBeta, target: EmpiricalTarget, t: float, x
+    params: Potential, target: EmpiricalTarget, t: float, x
 ) -> ControlOutput:
     """Optimal drift when the target is the empirical measure of samples.
 
@@ -293,13 +251,7 @@ def empirical_control(
         )
     log_w = log_kernel_ratio(params, t, x[..., None, :], target.samples)
     xhat, ess, max_w = _weighted_state(log_w, target.samples)
-    c1, c2 = drift_prefactors(params, t)
-    return ControlOutput(
-        drift=c1 * (xhat - c2 * x),
-        weighted_state=xhat,
-        ess=_ret(ess),
-        max_weight=_ret(max_w),
-    )
+    return _drift_output(params, t, x, xhat, ess, max_w)
 
 
 @dataclass(frozen=True)
@@ -329,7 +281,7 @@ def _simpson_weights(n: int, lo: float, hi: float) -> np.ndarray:
     return s * ((hi - lo) / (n - 1) / 3.0)
 
 
-def _quadrature_state(params: ScalarBeta, t: float, x, energy, grid: QuadratureGrid):
+def _quadrature_state(params: Potential, t: float, x, energy, grid: QuadratureGrid):
     """Weighted state by direct integration; 1D/2D reference path."""
     d = params.dim
     if d not in (1, 2):
@@ -371,7 +323,7 @@ def _quadrature_state(params: ScalarBeta, t: float, x, energy, grid: QuadratureG
 
 
 def quadrature_control(
-    params: ScalarBeta, t: float, x, energy, grid: QuadratureGrid | None = None
+    params: Potential, t: float, x, energy, grid: QuadratureGrid | None = None
 ) -> np.ndarray:
     """Reference drift by direct integration over a bounded grid (d <= 2)."""
     _validate_t(t, 0.0, 1.0, True, False)
@@ -380,19 +332,17 @@ def quadrature_control(
         raise InputError(f"x must be a single point, got shape {x.shape}")
     if grid is None:
         grid = QuadratureGrid()
-    xhat, _, _ = _quadrature_state(params, t, x, energy, grid)
-    c1, c2 = drift_prefactors(params, t)
-    return c1 * (xhat - c2 * x)
+    xhat, ess, max_w = _quadrature_state(params, t, x, energy, grid)
+    return _drift_output(params, t, x, xhat, ess, max_w).drift
 
 
 class UhisControlEvaluator:
     """Integrator adapter around uhis_control (scalar or matrix potential)."""
 
-    def __init__(self, params, energy, cfg: UhisConfig):
+    def __init__(self, params: Potential, energy, cfg: UhisConfig):
         self.params = params
         self.energy = energy
         self.cfg = cfg
-        self._general = isinstance(params, MatrixBeta)
 
     @property
     def reuse_probe_noise(self) -> bool:
@@ -402,15 +352,13 @@ class UhisControlEvaluator:
         return (self.cfg.n_is, dim)
 
     def __call__(self, t, x, xi=None) -> ControlOutput:
-        if self._general:
-            return uhis_control_general(self.params, self.cfg, t, x, self.energy, xi=xi)
         return uhis_control(self.params, self.cfg, t, x, self.energy, xi=xi)
 
 
 class EmpiricalControlEvaluator:
     """Integrator adapter around empirical_control; deterministic."""
 
-    def __init__(self, params: ScalarBeta, target: EmpiricalTarget):
+    def __init__(self, params: Potential, target: EmpiricalTarget):
         self.params = params
         self.target = target
 
@@ -444,7 +392,7 @@ class LegendreControlEvaluator:
 class QuadratureControlEvaluator:
     """Deterministic reference drift by grid integration (d <= 2)."""
 
-    def __init__(self, params: ScalarBeta, energy, grid: QuadratureGrid | None = None):
+    def __init__(self, params: Potential, energy, grid: QuadratureGrid | None = None):
         self.params = params
         self.energy = energy
         self.grid = grid if grid is not None else QuadratureGrid()
@@ -454,15 +402,6 @@ class QuadratureControlEvaluator:
 
     def __call__(self, t, x, xi=None) -> ControlOutput:
         x = _as_points(self.params, "x", x)
-        c1, c2 = drift_prefactors(self.params, t)
-        if x.ndim == 1:
-            xhat, ess, max_w = _quadrature_state(self.params, t, x, self.energy, self.grid)
-            return ControlOutput(
-                drift=c1 * (xhat - c2 * x),
-                weighted_state=xhat,
-                ess=ess,
-                max_weight=max_w,
-            )
         flat = x.reshape(-1, x.shape[-1])
         xhat = np.empty_like(flat)
         ess = np.empty(flat.shape[0])
@@ -473,11 +412,8 @@ class QuadratureControlEvaluator:
             )
         lead = x.shape[:-1]
         xhat = xhat.reshape(x.shape)
-        return ControlOutput(
-            drift=c1 * (xhat - c2 * x),
-            weighted_state=xhat,
-            ess=ess.reshape(lead),
-            max_weight=max_w.reshape(lead),
+        return _drift_output(
+            self.params, t, x, xhat, ess.reshape(lead), max_w.reshape(lead)
         )
 
 

@@ -20,10 +20,6 @@ class DegenerateProbeGaussianError(HpidError, ArithmeticError):
     """
 
 
-# short alias used throughout
-DegenerateProbeError = DegenerateProbeGaussianError
-
-
 class AccuracyError(HpidError, ArithmeticError):
     """A numerical routine cannot meet its accuracy contract."""
 

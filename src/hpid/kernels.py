@@ -1,5 +1,5 @@
-"""Closed-form Gaussian kernels for the isotropic quadratic potential
-V(x) = beta |x|^2 / 2 on the unit time interval.
+"""Closed-form Gaussian kernels for the quadratic potential V(x) = x^T B x / 2
+on the unit time interval.
 
 Two fundamental solutions appear everywhere downstream:
 
@@ -8,16 +8,25 @@ Two fundamental solutions appear everywhere downstream:
 * G_plus(t; x; y): evolves forward from a delta function at time 0.
 
 Both are Gaussians in (x, y), the imaginary-time kernel of a harmonic
-oscillator. For beta = 0 they reduce to heat kernels, and that case is a
-distinct exact code path (selected when beta < 1e-12) rather than a limit
-of the hyperbolic expressions, which would divide 0 by 0.
+oscillator. A symmetric positive semi-definite B decouples in its
+eigenbasis into independent oscillators, one per eigenvalue, so every
+operation here is written once, per eigen-axis. `ScalarBeta` (B = beta I)
+is the isotropic case: its basis is the identity and its per-axis
+coefficients are 0-d, which keeps the isotropic expressions (and their
+bits) exactly. `MatrixBeta` carries the spectral form of a general B; all
+matrix functions (sqrt, sinh, ctnh, log det) are computed spectrally,
+never by series. An axis with eigenvalue below 1e-12 takes a distinct
+exact heat-kernel path rather than a limit of the hyperbolic
+expressions, which would divide 0 by 0.
 
 All values are computed and consumed in log domain; exponentiation only
 happens inside downstream log-sum-exp reductions. Quadratic forms reach
 ~1e4 for d in the thousands, far past float64's exponent range.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -28,6 +37,10 @@ BETA_ZERO_TOL = 1e-12
 
 _LOG_2 = float(np.log(2.0))
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+_EIG_CLAMP = 1e-12  # eigenvalues above -this are clamped to zero
+_EIG_REJECT = -1e-8  # eigenvalues below this reject the matrix
+_SYM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -46,6 +59,78 @@ class ScalarBeta:
     @property
     def is_zero(self) -> bool:
         return self.beta < BETA_ZERO_TOL
+
+    @property
+    def eigvals(self) -> float:
+        """The one eigenvalue shared by every axis."""
+        return self.beta
+
+    def to_eigenbasis(self, v):
+        return v
+
+    def from_eigenbasis(self, v):
+        return v
+
+    def potential(self, x):
+        """V(x) = beta |x|^2 / 2 for x of shape (..., d)."""
+        return 0.5 * self.beta * np.einsum("...i,...i->...", x, x)
+
+
+@dataclass(frozen=True)
+class MatrixBeta:
+    """Spectral form of a symmetric PSD potential matrix."""
+
+    beta_matrix: np.ndarray  # (d, d)
+    eigvals: np.ndarray  # (d,), nonnegative, ascending
+    eigvecs: np.ndarray  # (d, d), columns are eigenvectors
+    dim: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dim", int(self.beta_matrix.shape[0]))
+
+    def to_eigenbasis(self, v):
+        """Coordinates of v (..., d) in the eigenbasis."""
+        return np.asarray(v, dtype=float) @ self.eigvecs
+
+    def from_eigenbasis(self, v):
+        return np.asarray(v, dtype=float) @ self.eigvecs.T
+
+    def potential(self, x):
+        """V(x) = x^T B x / 2 for x of shape (..., d)."""
+        x = np.asarray(x, dtype=float)
+        return 0.5 * np.einsum("...i,ij,...j->...", x, self.beta_matrix, x)
+
+
+# the potential interface every kernel-level operation is written against
+Potential = ScalarBeta | MatrixBeta
+
+
+def decompose(beta_matrix) -> MatrixBeta:
+    """Spectral decomposition of a symmetric PSD matrix.
+
+    Rejects asymmetric input and any eigenvalue below -1e-8; eigenvalues in
+    (-1e-12, 0) are clamped to zero so that numerically flat axes use the
+    exact heat-kernel path.
+    """
+    m = np.asarray(beta_matrix, dtype=float)
+    if m.ndim == 0:
+        m = m.reshape(1, 1)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InputError(f"potential matrix must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InputError("potential matrix contains non-finite values")
+    scale = max(1.0, float(np.abs(m).max()))
+    if np.abs(m - m.T).max() > _SYM_TOL * scale:
+        raise InputError("potential matrix is not symmetric")
+    m = 0.5 * (m + m.T)
+    vals, vecs = np.linalg.eigh(m)
+    if vals.min() < _EIG_REJECT * scale:
+        raise DomainError(
+            f"potential matrix has negative eigenvalue {vals.min():.3e}; "
+            "it must be positive semi-definite"
+        )
+    vals = np.where(vals < _EIG_CLAMP, 0.0, vals)
+    return MatrixBeta(beta_matrix=m, eigvals=vals, eigvecs=vecs)
 
 
 @dataclass(frozen=True)
@@ -130,7 +215,7 @@ def _validate_t(t, lo, hi, lo_closed, hi_closed):
         raise DomainError(f"t must lie in {lob}{lo}, {hi}{hib}, got {t}")
 
 
-def _as_points(params: ScalarBeta, name, v):
+def _as_points(params, name, v):
     """Validate a point array of shape (..., dim); a bare scalar is accepted
     for dim = 1."""
     v = np.asarray(v, dtype=float)
@@ -145,12 +230,24 @@ def _as_points(params: ScalarBeta, name, v):
     return v
 
 
-def _sq(v):
-    return np.einsum("...i,...i->...", v, v)
-
-
 def _dot(x, y):
     return np.einsum("...i,...i->...", x, y)
+
+
+def _wsum(w, *pairs):
+    """sum_i w_i sum_(u, v) u_i v_i over the trailing (eigen-)axis.
+
+    A 0-d w is isotropic and keeps the form w * sum(u . v), so scalar-beta
+    results are bitwise those of the plain isotropic expressions.
+    """
+    if np.ndim(w) == 0:
+        return w * reduce(add, (_dot(u, v) for u, v in pairs))
+    return reduce(add, (np.einsum("i,...i,...i->...", w, u, v) for u, v in pairs))
+
+
+def _axes_sum(c, dim):
+    """sum_i c_i over the axes; a 0-d c stands for dim equal entries."""
+    return dim * c if np.ndim(c) == 0 else c.sum()
 
 
 def _ret(a):
@@ -159,7 +256,7 @@ def _ret(a):
 
 
 def kernel_coeffs(params: ScalarBeta, t: float) -> KernelCoeffs:
-    """All quadratic-form coefficients at time t in [0, 1).
+    """All quadratic-form coefficients at time t in [0, 1), isotropic beta.
 
     The plus side diverges at t = 0 (delta initial condition); its entries
     are +inf / -inf there.
@@ -181,67 +278,73 @@ def kernel_coeffs(params: ScalarBeta, t: float) -> KernelCoeffs:
     )
 
 
-def log_g_minus(params: ScalarBeta, t: float, x, y):
+def _log_g(params: Potential, tau, x, y):
+    """Shared quadratic form: both kernels differ only in the horizon tau."""
+    x = params.to_eigenbasis(_as_points(params, "x", x))
+    y = params.to_eigenbasis(_as_points(params, "y", y))
+    a, b, log_c = _abc(params.eigvals, tau)
+    out = (
+        -0.5 * _wsum(a, (x, x), (y, y))
+        + _wsum(b, (x, y))
+        - _axes_sum(log_c, params.dim)
+    )
+    return _ret(out)
+
+
+def log_g_minus(params: Potential, t: float, x, y):
     """log G_minus(t; x; y) for t in [0, 1).
 
     For beta = 0 this is the log density of N(y | x, (1-t) I). x and y may
     carry leading batch axes; shapes broadcast against each other.
     """
     _validate_t(t, 0.0, 1.0, True, False)
-    x = _as_points(params, "x", x)
-    y = _as_points(params, "y", y)
-    a, b, log_c = _abc(params.beta, 1.0 - t)
-    out = -0.5 * a * (_sq(x) + _sq(y)) + b * _dot(x, y) - params.dim * log_c
-    return _ret(out)
+    return _log_g(params, 1.0 - t, x, y)
 
 
-def log_g_plus(params: ScalarBeta, t: float, x, y):
+def log_g_plus(params: Potential, t: float, x, y):
     """log G_plus(t; x; y) for t in (0, 1].
 
     For beta = 0 this is the log density of N(x | y, t I). Symmetric in
     (x, y).
     """
     _validate_t(t, 0.0, 1.0, False, True)
-    x = _as_points(params, "x", x)
-    y = _as_points(params, "y", y)
-    a, b, log_c = _abc(params.beta, t)
-    out = -0.5 * a * (_sq(x) + _sq(y)) + b * _dot(x, y) - params.dim * log_c
-    return _ret(out)
+    return _log_g(params, t, x, y)
 
 
-def log_kernel_ratio(params: ScalarBeta, t: float, x, y):
+def log_kernel_ratio(params: Potential, t: float, x, y):
     """log[ G_minus(t; x; y) / G_plus(1; y; 0) ] for t in [0, 1).
 
     Evaluated from the combined closed form, never as a difference of two
     separately exponentiated kernels. As a function of y this is a concave
-    quadratic with precision `_h_probe(beta, t)`; the y-independent part
-    is -A_minus |x|^2 / 2 plus a normalizer ratio.
+    quadratic with per-axis precision `_h_probe(eigval, t)`; the
+    y-independent part is -A_minus |x|^2 / 2 plus a normalizer ratio.
     """
     _validate_t(t, 0.0, 1.0, True, False)
-    x = _as_points(params, "x", x)
-    y = _as_points(params, "y", y)
-    am, bm, lcm = _abc(params.beta, 1.0 - t)
-    a1, _, lc1 = _abc(params.beta, 1.0)
-    h = _h_probe(params.beta, t)  # equals am - a1, computed stably
+    x = params.to_eigenbasis(_as_points(params, "x", x))
+    y = params.to_eigenbasis(_as_points(params, "y", y))
+    am, bm, lcm = _abc(params.eigvals, 1.0 - t)
+    _, _, lc1 = _abc(params.eigvals, 1.0)
+    h = _h_probe(params.eigvals, t)  # equals am - a1, computed stably
     out = (
-        -0.5 * am * _sq(x)
-        - 0.5 * h * _sq(y)
-        + bm * _dot(x, y)
-        + params.dim * (lc1 - lcm)
+        -0.5 * _wsum(am, (x, x))
+        - 0.5 * _wsum(h, (y, y))
+        + _wsum(bm, (x, y))
+        + _axes_sum(lc1 - lcm, params.dim)
     )
-    del a1
     return _ret(out)
 
 
-def drift_prefactors(params: ScalarBeta, t: float) -> tuple[float, float]:
-    """(c1, c2) such that the optimal drift is c1 (xhat - c2 x).
+def drift_prefactors(params: Potential, t: float):
+    """(c1, c2) such that the optimal drift is c1 (xhat - c2 x) per eigen-axis.
 
-    c1 = sqrt(beta)/sinh((1-t)sqrt(beta)), c2 = cosh((1-t)sqrt(beta));
-    the beta = 0 limit is (1/(1-t), 1). Note c1 c2 = A_minus.
+    c1 = sqrt(lambda)/sinh((1-t)sqrt(lambda)), c2 = cosh((1-t)sqrt(lambda));
+    the lambda = 0 limit is (1/(1-t), 1). Note c1 c2 = A_minus. Floats for a
+    scalar beta, (d,) arrays in the eigenbasis for a matrix beta.
     """
     _validate_t(t, 0.0, 1.0, True, False)
-    if params.is_zero:
-        return 1.0 / (1.0 - t), 1.0
-    _, b, _ = _abc(params.beta, 1.0 - t)
-    c2 = np.cosh((1.0 - t) * np.sqrt(params.beta))
-    return float(b), float(c2)
+    lam = np.asarray(params.eigvals, dtype=float)
+    small = lam < BETA_ZERO_TOL
+    _, b, _ = _abc(lam, 1.0 - t)
+    c2 = np.where(small, 1.0, np.cosh((1.0 - t) * np.sqrt(np.where(small, 1.0, lam))))
+    return _ret(b), _ret(c2)
+

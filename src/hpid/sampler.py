@@ -40,8 +40,7 @@ from .control import (
     UhisControlEvaluator,
 )
 from .errors import ConfigError, IntegrationError
-from .kernels import ScalarBeta, log_g_plus
-from .matrix_kernels import MatrixBeta, decompose, log_g_plus_general
+from .kernels import ScalarBeta, decompose, log_g_plus
 from .sde import SdeConfig, integrate_batch
 from .targets import Energy, load_dataset, save_dataset
 
@@ -80,13 +79,15 @@ class RunSummary:
     early_terminals: np.ndarray | None  # weighted state at the last step
 
 
-def _resolve_beta(beta):
+def _resolve_beta(beta, dim: int):
+    """The potential for a scalar, a per-axis list, or a full matrix beta."""
     b = np.asarray(beta, dtype=float)
     if b.ndim == 0:
-        return None  # scalar; dim known only from the target
-    if b.ndim == 1:
-        return decompose(np.diag(b))
-    return decompose(b)
+        return ScalarBeta(beta=float(b), dim=dim)
+    p = decompose(np.diag(b) if b.ndim == 1 else b)
+    if p.dim != dim:
+        raise ConfigError(f"beta has dim {p.dim}, target has dim {dim}")
+    return p
 
 
 def _describe_energy(e: Energy) -> dict:
@@ -98,14 +99,6 @@ def _describe_energy(e: Energy) -> dict:
             d[k] = v
         elif isinstance(v, np.ndarray):
             d[k] = v.tolist()
-    # frozen dataclasses keep fields out of vars(); pick them up explicitly
-    if dataclasses.is_dataclass(e):
-        for f in dataclasses.fields(e):
-            v = getattr(e, f.name)
-            if isinstance(v, (int, float, str, bool)):
-                d[f.name] = v
-            elif isinstance(v, np.ndarray):
-                d[f.name] = v.tolist()
     return d
 
 
@@ -174,14 +167,13 @@ def _validate_and_build(cfg: RunConfig):
         dim = cfg.energy.dim
         desc = {"kind": "energy", **_describe_energy(cfg.energy)}
 
-    mat = _resolve_beta(cfg.beta)
-    if mat is not None and mat.dim != dim:
-        raise ConfigError(f"beta has dim {mat.dim}, target has dim {dim}")
-    if mat is not None and mode != "uhis":
+    params = _resolve_beta(cfg.beta, dim)
+    if mode == "legendre" and np.ndim(cfg.beta) > 0:
+        # the Newton solve for y_diamond works with one scalar curvature
         raise ConfigError(
-            "matrix/diagonal beta is supported with control_mode 'uhis' only"
+            "matrix/diagonal beta is not supported with control_mode 'legendre'; "
+            "use 'uhis', 'empirical' or 'quadrature-oracle'"
         )
-    params = mat if mat is not None else ScalarBeta(beta=float(cfg.beta), dim=dim)
 
     if mode == "uhis":
         uhis = cfg.uhis if cfg.uhis is not None else UhisConfig(n_is=1000)
@@ -210,12 +202,7 @@ def _chunk_size(mode: str, cfg: RunConfig, dim: int) -> int:
 
 def _log_z_terms(params, energy, batch):
     e_term = np.asarray(energy.value(batch.terminals), dtype=float)
-    if isinstance(params, MatrixBeta):
-        g_term = log_g_plus_general(
-            params, 1.0, batch.terminals, np.zeros(params.dim)
-        )
-    else:
-        g_term = log_g_plus(params, 1.0, batch.terminals, np.zeros(params.dim))
+    g_term = log_g_plus(params, 1.0, batch.terminals, np.zeros(params.dim))
     return batch.log_girsanov - batch.potential_integral - e_term - g_term
 
 
@@ -319,14 +306,19 @@ def run(cfg: RunConfig) -> RunSummary:
             record=rec if rec else "none",
         )
 
+    batches = []
     try:
         if cfg.threads > 1 and len(starts) > 1:
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                batches = list(pool.map(_one, starts))
+                for b in pool.map(_one, starts):
+                    batches.append(b)
         else:
-            batches = [_one(s) for s in starts]
+            for s in starts:
+                batches.append(_one(s))
     except IntegrationError as err:
-        _write_aborted(cfg, canonical, err, done=0)
+        # chunks are collected in order, so these precede the failing one
+        done = sum(b.terminals.shape[0] for b in batches)
+        _write_aborted(cfg, canonical, err, done=done)
         raise
 
     terminals = np.concatenate([b.terminals for b in batches], axis=0)

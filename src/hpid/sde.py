@@ -19,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, IntegrationError
-from .kernels import ScalarBeta
-from .matrix_kernels import MatrixBeta
 from .rng import PURPOSE_INCREMENT, PURPOSE_PROBE, normal_rows
 
 
@@ -76,16 +74,6 @@ class BatchTrajectories:
     terminal_weighted: np.ndarray | None  # (B, d)
     min_ess: float
     ess_min_per: np.ndarray  # (B,) minimum ESS over steps, per trajectory
-
-
-def _potential_values(params, x):
-    if params is None:
-        return 0.0
-    if isinstance(params, MatrixBeta):
-        return params.potential(x)
-    if isinstance(params, ScalarBeta):
-        return 0.5 * params.beta * np.einsum("...i,...i->...", x, x)
-    raise InputError(f"unsupported potential parameters: {type(params).__name__}")
 
 
 def _resolve_record(record, n_trajectories):
@@ -205,7 +193,8 @@ def integrate_batch(
                 state_norm=float(np.linalg.norm(x[i])),
                 trajectory=first_trajectory + i,
             )
-        pot += dt * _potential_values(params, x)
+        if params is not None:
+            pot += dt * params.potential(x)
         gir += -sqrt_dt * np.einsum("bd,bd->b", u, xi) - 0.5 * dt * np.einsum(
             "bd,bd->b", u, u
         )

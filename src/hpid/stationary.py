@@ -2,8 +2,8 @@
 
 Two constructions, both functions of (t, x):
 
-* the universal point y*, energy independent, with an isotropic and
-  x-independent curvature h(t, beta) — together they define the Gaussian
+* the universal point y*, energy independent, with an x-independent
+  curvature h(t, lambda) per eigen-axis — together they define the Gaussian
   probe used for importance sampling of the optimal drift;
 * the non-universal point y_diamond, which folds the target energy into
   the optimality condition and is solved by damped Newton warm-started
@@ -18,44 +18,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProbeGaussianError, DomainError, InputError
+from .errors import DegenerateProbeGaussianError, DomainError
 from .kernels import (
     _LOG_2PI,
     BETA_ZERO_TOL,
+    Potential,
     ScalarBeta,
     _as_points,
+    _axes_sum,
     _h_probe,
     _log_sinh,
+    _ret,
     _validate_t,
+    _wsum,
     drift_prefactors,
 )
-from .matrix_kernels import MatrixBeta
 
 DEGENERATE_DENOM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class ProbeGaussian:
-    """Isotropic Gaussian N(mean, I / precision_scalar).
+    """Gaussian N(mean, C), C diagonal in the potential's eigenbasis.
 
-    mean may carry leading batch axes (..., d); the precision is a scalar
-    because the curvature at y* does not depend on x.
+    precision holds the inverse variances per eigen-axis: a float when the
+    probe is isotropic, shape (d,) otherwise. mean may carry leading batch
+    axes (..., d); the precision is shared because the curvature at y*
+    does not depend on x. params supplies the eigenbasis.
     """
 
     mean: np.ndarray
-    precision_scalar: float
+    precision: float | np.ndarray
     t: float
-    beta: float
+    params: Potential
 
     def __post_init__(self):
-        if not (np.isfinite(self.precision_scalar) and self.precision_scalar > 0):
-            raise DomainError(
-                f"probe precision must be positive, got {self.precision_scalar}"
-            )
+        h = np.asarray(self.precision)
+        if not (np.all(np.isfinite(h)) and np.all(h > 0)):
+            raise DomainError(f"probe precision must be positive, got {self.precision}")
 
     @property
-    def sigma2(self) -> float:
-        return 1.0 / self.precision_scalar
+    def sigma2(self):
+        return 1.0 / self.precision
 
     def draw(self, xi):
         """Map standard normals xi of shape (..., n, d) to probe samples."""
@@ -63,7 +67,16 @@ class ProbeGaussian:
         mean = self.mean
         if xi.ndim == mean.ndim + 1:
             mean = mean[..., None, :]
-        return mean + xi / math.sqrt(self.precision_scalar)
+        return mean + self.params.from_eigenbasis(xi / np.sqrt(self.precision))
+
+    def spread(self, panel):
+        """(scale, block) with draw(panel) == mean + scale * block for one
+        (n, d) panel shared by every mean: an isotropic spread stays a
+        scalar, per-axis spreads are applied to the panel once."""
+        h = self.precision
+        if np.ndim(h) == 0:
+            return 1.0 / np.sqrt(h), self.params.from_eigenbasis(panel)
+        return 1.0, self.params.from_eigenbasis(panel / np.sqrt(h))
 
     def log_pdf(self, y):
         y = np.asarray(y, dtype=float)
@@ -71,47 +84,11 @@ class ProbeGaussian:
         if y.ndim == mean.ndim + 1:
             mean = mean[..., None, :]
         d = y.shape[-1]
-        diff = y - mean
-        h = self.precision_scalar
-        quad = np.einsum("...i,...i->...", diff, diff)
-        return 0.5 * d * (math.log(h) - _LOG_2PI) - 0.5 * h * quad
-
-
-@dataclass(frozen=True)
-class GeneralProbeGaussian:
-    """Probe for a matrix potential: diagonal Gaussian in the eigenbasis.
-
-    precision_eig holds the per-axis curvatures h(t, lambda_i); eigvecs
-    columns rotate eigenbasis coordinates back to the original frame.
-    """
-
-    mean: np.ndarray  # (..., d), original coordinates
-    precision_eig: np.ndarray  # (d,)
-    eigvecs: np.ndarray  # (d, d)
-    t: float
-
-    def __post_init__(self):
-        if not (
-            np.all(np.isfinite(self.precision_eig)) and np.all(self.precision_eig > 0)
-        ):
-            raise DomainError("probe precisions must be positive and finite")
-
-    def draw(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        mean = self.mean
-        if xi.ndim == mean.ndim + 1:
-            mean = mean[..., None, :]
-        return mean + (xi / np.sqrt(self.precision_eig)) @ self.eigvecs.T
-
-    def log_pdf(self, y):
-        y = np.asarray(y, dtype=float)
-        mean = self.mean
-        if y.ndim == mean.ndim + 1:
-            mean = mean[..., None, :]
-        d = y.shape[-1]
-        diff = (y - mean) @ self.eigvecs
-        quad = np.einsum("...i,i,...i->...", diff, self.precision_eig, diff)
-        return 0.5 * (np.log(self.precision_eig).sum() - d * _LOG_2PI) - 0.5 * quad
+        diff = self.params.to_eigenbasis(y - mean)
+        h = self.precision
+        # math.log for a float: numpy's log can differ from it in the last bit
+        log_h = math.log(h) if np.ndim(h) == 0 else np.log(h)
+        return 0.5 * _axes_sum(log_h - _LOG_2PI, d) - 0.5 * _wsum(h, (diff, diff))
 
 
 def _probe_denominator(beta, t):
@@ -124,48 +101,26 @@ def _probe_denominator(beta, t):
     return np.where(small, t, d)
 
 
-def universal_probe(params: ScalarBeta, t: float, x) -> ProbeGaussian:
+def universal_probe(params: Potential, t: float, x) -> ProbeGaussian:
     """Energy-independent Gaussian probe at time t, centered at y* = x/D.
 
-    D = cosh((1-t)sqrt(beta)) - sinh((1-t)sqrt(beta)) ctnh(sqrt(beta)),
-    computed as sinh(t sqrt(beta))/sinh(sqrt(beta)) which is the same
-    quantity without cancellation; beta = 0 gives mean x/t, precision
-    t/(1-t). Raises when D underflows (t too small): callers fall back
-    to a wide probe.
+    Per eigen-axis, D = cosh((1-t)sqrt(lambda)) - sinh((1-t)sqrt(lambda))
+    ctnh(sqrt(lambda)), computed as sinh(t sqrt(lambda))/sinh(sqrt(lambda))
+    which is the same quantity without cancellation; lambda = 0 gives mean
+    x/t, precision t/(1-t). Raises when D underflows (t too small):
+    callers fall back to a wide probe.
     """
     _validate_t(t, 0.0, 1.0, False, False)
     x = _as_points(params, "x", x)
-    denom = float(_probe_denominator(np.asarray(params.beta), t))
-    if abs(denom) < DEGENERATE_DENOM_TOL:
-        raise DegenerateProbeGaussianError(
-            f"probe denominator {denom:.3e} at t={t}; use a wide probe instead"
-        )
-    precision = float(_h_probe(np.asarray(params.beta), t))
-    return ProbeGaussian(
-        mean=x / denom, precision_scalar=precision, t=float(t), beta=params.beta
-    )
-
-
-def universal_probe_general(params: MatrixBeta, t: float, x) -> GeneralProbeGaussian:
-    """Matrix-potential probe: the scalar construction on each eigen-axis."""
-    _validate_t(t, 0.0, 1.0, False, False)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if x.shape[-1] != params.dim:
-        raise InputError(
-            f"x must have trailing dimension {params.dim}, got shape {x.shape}"
-        )
     denom = _probe_denominator(params.eigvals, t)
     if np.abs(denom).min() < DEGENERATE_DENOM_TOL:
         raise DegenerateProbeGaussianError(
-            f"probe denominator underflow at t={t}; use a wide probe instead"
+            f"probe denominator {np.abs(denom).min():.3e} at t={t}; "
+            "use a wide probe instead"
         )
     mean = params.from_eigenbasis(params.to_eigenbasis(x) / denom)
-    precision = _h_probe(params.eigvals, t)
-    return GeneralProbeGaussian(
-        mean=mean, precision_eig=precision, eigvecs=params.eigvecs, t=float(t)
-    )
+    precision = _ret(_h_probe(params.eigvals, t))
+    return ProbeGaussian(mean=mean, precision=precision, t=float(t), params=params)
 
 
 @dataclass(frozen=True)

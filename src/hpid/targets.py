@@ -247,11 +247,6 @@ def grid_mixture(
     )
 
 
-def mixture_energy(m: GaussianMixtureEnergy, y):
-    """Energy of the mixture at y; same as m.value(y)."""
-    return m.value(y)
-
-
 def mixture_partition_oracle(m: GaussianMixtureEnergy, verify: bool = False) -> float:
     """Analytic Z = (sum w) (2 pi sigma2)^(d/2) for the mixture convention.
 

@@ -26,17 +26,12 @@ from hpid.control import (
 from hpid.diagnostics import autocorrelation, bootstrap_transition_gap, mode_assignment
 from hpid.kernels import (
     ScalarBeta,
+    decompose,
     drift_prefactors,
     kernel_coeffs,
     log_g_minus,
     log_g_plus,
     log_kernel_ratio,
-)
-from hpid.matrix_kernels import (
-    decompose,
-    log_g_minus_general,
-    log_g_plus_general,
-    log_kernel_ratio_general,
 )
 from hpid.sampler import RunConfig, estimate_z_convergence, run
 from hpid.sde import SdeConfig, integrate_batch
@@ -284,7 +279,7 @@ def test_zero_confinement_limit_continuity():
             (cb.a_minus, cb.b_minus, cb.log_c_minus, cb.a_plus, cb.b_plus, cb.log_c_plus),
         )
         pa, pb = universal_probe(small, t, x), universal_probe(zero, t, x)
-        close((pa.mean[0], pa.precision_scalar), (pb.mean[0], pb.precision_scalar))
+        close((pa.mean[0], pa.precision), (pb.mean[0], pb.precision))
         ua = uhis_control(small, UhisConfig(n_is=64), t, x, energy, xi=xi)
         ub = uhis_control(zero, UhisConfig(n_is=64), t, x, energy, xi=xi)
         close(ua.drift, ub.drift)
@@ -308,14 +303,8 @@ def test_matrix_kernel_consistency():
     for _ in range(25):
         t = float(rng.uniform(0.05, 0.95))
         x, y = rng.normal(size=3), rng.normal(size=3)
-        for scalar_fn, general_fn in (
-            (log_g_minus, log_g_minus_general),
-            (log_g_plus, log_g_plus_general),
-            (log_kernel_ratio, log_kernel_ratio_general),
-        ):
-            worst_iso = max(
-                worst_iso, abs(scalar_fn(iso_s, t, x, y) - general_fn(iso_m, t, x, y))
-            )
+        for fn in (log_g_minus, log_g_plus, log_kernel_ratio):
+            worst_iso = max(worst_iso, abs(fn(iso_s, t, x, y) - fn(iso_m, t, x, y)))
 
     diag_vals = np.array([0.3, 1.1, 2.4])
     diag_m = decompose(np.diag(diag_vals))
@@ -323,7 +312,7 @@ def test_matrix_kernel_consistency():
     for _ in range(25):
         t = float(rng.uniform(0.05, 0.95))
         x, y = rng.normal(size=3), rng.normal(size=3)
-        joint = log_g_minus_general(diag_m, t, x, y)
+        joint = log_g_minus(diag_m, t, x, y)
         split = sum(
             log_g_minus(ScalarBeta(b, 1), t, x[i : i + 1], y[i : i + 1])
             for i, b in enumerate(diag_vals)
@@ -341,8 +330,8 @@ def test_matrix_kernel_consistency():
         worst_eq = max(
             worst_eq,
             abs(
-                log_g_minus_general(rotated, t, x @ q.T, y @ q.T)
-                - log_g_minus_general(plain, t, x, y)
+                log_g_minus(rotated, t, x @ q.T, y @ q.T)
+                - log_g_minus(plain, t, x, y)
             ),
         )
     _report(

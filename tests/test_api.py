@@ -1,0 +1,75 @@
+"""The public API of the package, pinned so that its size is tracked.
+
+Adding or removing a name is a deliberate change: update this list with it.
+"""
+
+import hpid
+
+PUBLIC = [
+    "AccuracyError",
+    "AutocorrSeries",
+    "BatchTrajectories",
+    "ConfigError",
+    "ControlOutput",
+    "DegenerateProbeGaussianError",
+    "DomainError",
+    "DoubleWellEnergy",
+    "EmpiricalControlEvaluator",
+    "EmpiricalTarget",
+    "Energy",
+    "FormatError",
+    "FunctionControlEvaluator",
+    "GaussianEnergy",
+    "GaussianMixtureEnergy",
+    "HpidError",
+    "InputError",
+    "IntegrationError",
+    "LegendreControlEvaluator",
+    "MatrixBeta",
+    "ModeHistogram",
+    "NonuniversalResult",
+    "OffsetEnergy",
+    "ProbeGaussian",
+    "QuadratureControlEvaluator",
+    "QuadratureGrid",
+    "RunConfig",
+    "RunSummary",
+    "ScalarBeta",
+    "SdeConfig",
+    "Trajectory",
+    "UhisConfig",
+    "UhisControlEvaluator",
+    "autocorrelation",
+    "bootstrap_transition_gap",
+    "decompose",
+    "drift_prefactors",
+    "empirical_control",
+    "estimate_z_convergence",
+    "grid_mixture",
+    "integrate",
+    "integrate_batch",
+    "kernel_coeffs",
+    "legendre_control",
+    "load_dataset",
+    "log_g_minus",
+    "log_g_plus",
+    "log_kernel_ratio",
+    "make_energy",
+    "mixture_partition_oracle",
+    "mode_assignment",
+    "nonuniversal_point",
+    "quadrature_control",
+    "run",
+    "save_dataset",
+    "transition_time",
+    "transition_times_per",
+    "uhis_control",
+    "universal_probe",
+]
+
+
+def test_public_api_is_pinned():
+    assert len(hpid.__all__) == 59
+    assert hpid.__all__ == PUBLIC
+    missing = [name for name in PUBLIC if not hasattr(hpid, name)]
+    assert missing == []

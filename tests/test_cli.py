@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from hpid.cli import main
 from hpid.targets import load_dataset, save_dataset
@@ -228,6 +229,25 @@ def test_sample_empirical_missing_data(tmp_path, capsys):
     )
     assert rc == 2
     assert "not found" in capsys.readouterr().err
+
+
+def _sample_empirical(data, out, beta):
+    argv = ["sample-empirical", "--data", data, "--beta", beta, "--steps", "12"]
+    argv += ["--samples", "6", "--seed", "2", "--out", out, "--threads", "1"]
+    return main(argv)
+
+
+def test_sample_empirical_accepts_comma_list_beta(tmp_path):
+    rows = np.array([[4.0, 0.0, 1.0], [-4.0, 0.5, 0.0], [0.0, -4.0, -1.0]])
+    data = str(tmp_path / "gt.csv")
+    save_dataset(data, rows)
+    assert _sample_empirical(data, str(tmp_path / "diag"), "1.0,2.0,0.5") == 0
+    # an isotropic list is the scalar potential, written per axis
+    assert _sample_empirical(data, str(tmp_path / "list"), "0.7,0.7,0.7") == 0
+    assert _sample_empirical(data, str(tmp_path / "scalar"), "0.7") == 0
+    listed = load_dataset(str(tmp_path / "list" / "terminals.bin")).samples
+    scalar = load_dataset(str(tmp_path / "scalar" / "terminals.bin")).samples
+    assert_allclose(listed, scalar, rtol=1e-10, atol=1e-10)
 
 
 def test_diagnose_mixture_modes(tmp_path, capsys):

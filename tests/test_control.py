@@ -22,11 +22,9 @@ from hpid.control import (
     empirical_control,
     quadrature_control,
     uhis_control,
-    uhis_control_general,
 )
 from hpid.errors import AccuracyError, InputError
-from hpid.kernels import ScalarBeta, drift_prefactors
-from hpid.matrix_kernels import decompose
+from hpid.kernels import ScalarBeta, decompose, drift_prefactors
 from hpid.rng import normals_from
 from hpid.stationary import universal_probe
 from hpid.targets import (
@@ -146,9 +144,15 @@ def test_uhis_shared_panel_matches_owned_noise():
     shared = np.broadcast_to(block, (B, 256, 2))
     owned = np.array(shared)
     x = np.random.default_rng(22).normal(size=(B, 2))
+    q, _ = np.linalg.qr(np.random.default_rng(23).normal(size=(2, 2)))
+    potentials = (
+        ScalarBeta(beta=0.0, dim=2),
+        ScalarBeta(beta=0.7, dim=2),
+        decompose(np.diag([0.3, 1.4])),
+        decompose(q @ np.diag([0.3, 1.4]) @ q.T),
+    )
     for energy in (GaussianEnergy(dim=2, sigma2=0.5), _mixture2()):
-        for beta in (0.0, 0.7):
-            params = ScalarBeta(beta=beta, dim=2)
+        for params in potentials:
             cfg = UhisConfig(n_is=256)
             for t in (0.05, 0.5, 0.9):
                 a = uhis_control(params, cfg, t, x, energy, xi=shared)
@@ -203,7 +207,7 @@ def test_uhis_general_matches_scalar_for_isotropic_matrix():
     xi = normals_from(np.random.default_rng(17), (3, 512, 2))
     x = np.random.default_rng(18).normal(size=(3, 2))
     a = uhis_control(scalar, cfg, 0.45, x, _mixture2(), xi=np.array(xi))
-    b = uhis_control_general(matrix, cfg, 0.45, x, _mixture2(), xi=np.array(xi))
+    b = uhis_control(matrix, cfg, 0.45, x, _mixture2(), xi=np.array(xi))
     assert_allclose(b.drift, a.drift, rtol=1e-10, atol=1e-12)
     assert_allclose(b.ess, a.ess, rtol=1e-10)
 

@@ -3,13 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hpid.errors import DomainError, InputError
-from hpid.kernels import ScalarBeta, drift_prefactors, log_g_minus, log_g_plus, log_kernel_ratio
-from hpid.matrix_kernels import (
+from hpid.kernels import (
+    ScalarBeta,
     decompose,
-    general_control_reduction,
-    log_g_minus_general,
-    log_g_plus_general,
-    log_kernel_ratio_general,
+    drift_prefactors,
+    log_g_minus,
+    log_g_plus,
+    log_kernel_ratio,
 )
 
 
@@ -47,17 +47,17 @@ def test_isotropic_matches_scalar():
         x = rng.normal(size=d)
         y = rng.normal(size=d)
         assert_allclose(
-            log_g_minus_general(matrix, t, x, y),
+            log_g_minus(matrix, t, x, y),
             log_g_minus(scalar, t, x, y),
             rtol=1e-12,
         )
         assert_allclose(
-            log_g_plus_general(matrix, t, x, y),
+            log_g_plus(matrix, t, x, y),
             log_g_plus(scalar, t, x, y),
             rtol=1e-12,
         )
         assert_allclose(
-            log_kernel_ratio_general(matrix, t, x, y),
+            log_kernel_ratio(matrix, t, x, y),
             log_kernel_ratio(scalar, t, x, y),
             rtol=1e-12,
         )
@@ -74,7 +74,7 @@ def test_diagonal_potential_separates_over_axes():
         log_g_minus(ScalarBeta(beta=b, dim=1), t, x[i], y[i])
         for i, b in enumerate(diag)
     )
-    assert_allclose(log_g_minus_general(p, t, x, y), per_axis, rtol=1e-10)
+    assert_allclose(log_g_minus(p, t, x, y), per_axis, rtol=1e-10)
 
 
 def test_rotation_equivariance():
@@ -88,13 +88,13 @@ def test_rotation_equivariance():
     y = rng.normal(size=d)
     for t in (0.15, 0.5, 0.85):
         assert_allclose(
-            log_g_minus_general(rotated, t, q @ x, q @ y),
-            log_g_minus_general(plain, t, x, y),
+            log_g_minus(rotated, t, q @ x, q @ y),
+            log_g_minus(plain, t, x, y),
             rtol=1e-10,
         )
         assert_allclose(
-            log_g_plus_general(rotated, t, q @ x, q @ y),
-            log_g_plus_general(plain, t, x, y),
+            log_g_plus(rotated, t, q @ x, q @ y),
+            log_g_plus(plain, t, x, y),
             rtol=1e-10,
         )
 
@@ -118,7 +118,7 @@ def test_control_reduction_matches_scalar_prefactors():
     diag = np.array([0.0, 0.9, 3.3])
     p = decompose(np.diag(diag))
     for t in (0.0, 0.4, 0.99):
-        c1, c2 = general_control_reduction(p, t)
+        c1, c2 = drift_prefactors(p, t)
         for i, b in enumerate(diag):
             s1, s2 = drift_prefactors(ScalarBeta(beta=b, dim=1), t)
             assert_allclose([c1[i], c2[i]], [s1, s2], rtol=1e-12)
@@ -128,7 +128,7 @@ def test_mixed_spectrum_with_flat_axis():
     # one zero eigenvalue rides the exact heat-kernel branch while the
     # other axes use hyperbolics; the sum must still be finite
     p = decompose(np.diag([0.0, 2.0]))
-    v = log_g_minus_general(p, 0.5, [1.0, -1.0], [0.0, 0.5])
+    v = log_g_minus(p, 0.5, [1.0, -1.0], [0.0, 0.5])
     assert np.isfinite(v)
 
 
@@ -137,6 +137,6 @@ def test_batched_points():
     p = decompose(_random_spd(rng, 3))
     x = rng.normal(size=(7, 3))
     y = rng.normal(size=(7, 3))
-    batch = log_kernel_ratio_general(p, 0.25, x, y)
-    single = [log_kernel_ratio_general(p, 0.25, x[i], y[i]) for i in range(7)]
+    batch = log_kernel_ratio(p, 0.25, x, y)
+    single = [log_kernel_ratio(p, 0.25, x[i], y[i]) for i in range(7)]
     assert_allclose(batch, single, rtol=1e-13)

@@ -10,7 +10,7 @@ from hpid.control import EmpiricalTarget, QuadratureGrid, UhisConfig
 from hpid.errors import ConfigError, IntegrationError
 from hpid.sampler import RunConfig, estimate_z_convergence, run
 from hpid.sde import SdeConfig
-from hpid.targets import GaussianEnergy, load_dataset
+from hpid.targets import GaussianEnergy, grid_mixture, load_dataset
 
 
 def _gauss_cfg(**kw):
@@ -177,18 +177,65 @@ def test_energy_output_manifest(tmp_path):
 
 
 def test_aborted_run_writes_manifest(tmp_path, monkeypatch):
+    inner = sampler_mod.integrate_batch
+
     def explode(*a, **k):
-        raise IntegrationError(step=3, state_norm=12.5, trajectory=5)
+        # chunks of 4 trajectories: trajectory 5 lies in the second chunk
+        if k["first_trajectory"] > 0:
+            raise IntegrationError(step=3, state_norm=12.5, trajectory=5)
+        return inner(*a, **k)
 
     monkeypatch.setattr(sampler_mod, "integrate_batch", explode)
-    out = tmp_path / "run"
-    with pytest.raises(IntegrationError):
-        run(_dataset_cfg(out_dir=str(out)))
-    doc = json.loads((out / "summary.json").read_text())
-    assert doc["status"] == "aborted"
-    assert doc["failed_step"] == 3
-    assert doc["failed_trajectory"] == 5
-    assert "diverged at step 3" in doc["error"]
+    monkeypatch.setattr(sampler_mod, "_chunk_size", lambda *a: 4)
+    for threads in (1, 2):
+        out = tmp_path / f"run{threads}"
+        with pytest.raises(IntegrationError):
+            run(_dataset_cfg(out_dir=str(out), threads=threads))
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["status"] == "aborted"
+        assert doc["failed_step"] == 3
+        assert doc["failed_trajectory"] == 5
+        assert "diverged at step 3" in doc["error"]
+        # the first chunk finished before the failing one
+        assert doc["trajectories_completed"] == 4
+
+
+_GRID_CENTERS = [[a, b] for a in (-5.0, 0.0, 5.0) for b in (-5.0, 0.0, 5.0)]
+
+
+@pytest.mark.parametrize(
+    "energy, desc, chash",
+    [
+        (
+            grid_mixture(),
+            {
+                "class": "GaussianMixtureEnergy",
+                "dim": 2,
+                "centers": _GRID_CENTERS,
+                "sigma2": 0.5,
+                "weights": [1.0 / 9.0] * 9,
+            },
+            "7fd3ada9bc6d87792bc0e828bd53f7353f93452d1d0e4aae9e49b4aa379f60ea",
+        ),
+        (
+            GaussianEnergy(dim=2, sigma2=1.0),
+            {"class": "GaussianEnergy", "dim": 2, "sigma2": 1.0, "mean": [0.0, 0.0]},
+            "648a3eec0bd42fd93b2c0049d35ffed323f3c10cfb8bdc4526597ba06538334d",
+        ),
+    ],
+)
+def test_energy_description_and_config_hash_are_frozen(energy, desc, chash):
+    # the description and the run hash that keys it are frozen values:
+    # any change would re-key every stored run of these targets
+    assert sampler_mod._describe_energy(energy) == desc
+    cfg = _gauss_cfg(
+        n_samples=2,
+        sde=SdeConfig(n_steps=4, seed=7),
+        beta=0.5,
+        energy=energy,
+        uhis=UhisConfig(n_is=16, reuse_probe_noise=True),
+    )
+    assert run(cfg).config_hash == chash
 
 
 def test_config_hash_tracks_content():

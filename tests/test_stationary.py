@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hpid.errors import DegenerateProbeGaussianError
-from hpid.kernels import ScalarBeta, drift_prefactors, _h_probe
-from hpid.matrix_kernels import decompose
+from hpid.kernels import ScalarBeta, decompose, drift_prefactors, _h_probe
 from hpid.stationary import (
     legendre_control,
     nonuniversal_point,
     universal_probe,
-    universal_probe_general,
 )
 from hpid.targets import DoubleWellEnergy, GaussianEnergy
 
@@ -37,14 +35,14 @@ class ConstantEnergy:
 def test_probe_frozen_values():
     p = universal_probe(ScalarBeta(beta=1.0, dim=1), 0.5, np.array([1.0]))
     assert_allclose(p.mean, [2.255251930412761570452], rtol=1e-14)
-    assert_allclose(p.precision_scalar, 0.8509181282393215451338, rtol=1e-14)
+    assert_allclose(p.precision, 0.8509181282393215451338, rtol=1e-14)
     assert_allclose(p.sigma2, 1.0 / 0.8509181282393215451338, rtol=1e-14)
 
 
 def test_probe_flat_potential_midpoint():
     p = universal_probe(ScalarBeta(beta=0.0, dim=2), 0.5, np.array([2.0, 0.0]))
     assert_allclose(p.mean, [4.0, 0.0], rtol=1e-15)
-    assert_allclose(p.precision_scalar, 1.0, rtol=1e-15)
+    assert_allclose(p.precision, 1.0, rtol=1e-15)
 
 
 @given(
@@ -79,11 +77,11 @@ def test_probe_draw_and_log_pdf():
     p = universal_probe(ScalarBeta(beta=0.0, dim=2), 0.5, np.array([2.0, 0.0]))
     xi = np.array([[0.5, -0.5], [0.0, 1.0]])
     got = p.draw(xi)
-    assert_allclose(got, p.mean + xi / np.sqrt(p.precision_scalar), rtol=1e-15)
+    assert_allclose(got, p.mean + xi / np.sqrt(p.precision), rtol=1e-15)
     # density against the explicit Gaussian formula
     y = np.array([3.5, 0.5])
-    want = -0.5 * p.precision_scalar * np.sum((y - p.mean) ** 2) - np.log(
-        2 * np.pi / p.precision_scalar
+    want = -0.5 * p.precision * np.sum((y - p.mean) ** 2) - np.log(
+        2 * np.pi / p.precision
     )
     assert_allclose(p.log_pdf(y), want, rtol=1e-13)
 
@@ -95,14 +93,14 @@ def test_probe_batched_x():
     for i in range(5):
         single = universal_probe(params, 0.4, xs[i])
         assert_allclose(batch.mean[i], single.mean, rtol=1e-14)
-        assert batch.precision_scalar == single.precision_scalar
+        assert batch.precision == single.precision
 
 
 def test_general_probe_matches_scalar_when_isotropic():
     scalar = universal_probe(ScalarBeta(beta=0.9, dim=3), 0.3, np.array([1.0, -2.0, 0.5]))
-    general = universal_probe_general(decompose(0.9 * np.eye(3)), 0.3, np.array([1.0, -2.0, 0.5]))
+    general = universal_probe(decompose(0.9 * np.eye(3)), 0.3, np.array([1.0, -2.0, 0.5]))
     assert_allclose(general.mean, scalar.mean, rtol=1e-12)
-    assert_allclose(general.precision_eig, np.full(3, scalar.precision_scalar), rtol=1e-12)
+    assert_allclose(general.precision, np.full(3, scalar.precision), rtol=1e-12)
 
 
 def test_constant_energy_reduces_to_universal_mean():
