@@ -52,6 +52,7 @@ from .errors import (
     IntegrationError,
 )
 from .kernels import ScalarBeta
+from .rng import normals_from
 from .sampler import estimate_z_convergence, run
 from .sde import Trajectory
 from .targets import DoubleWellEnergy, GaussianMixtureEnergy, load_dataset
@@ -303,7 +304,8 @@ def _cmd_oracle_check(args) -> int:
     xs = _float_list(args.x_list, "--x-list")
     if not ts or not xs:
         raise ConfigError("--t-list and --x-list must be nonempty")
-    cfg = UhisConfig(n_is=args.n_is, rng_stream=np.random.default_rng(args.seed))
+    cfg = UhisConfig(n_is=args.n_is)
+    rng = np.random.default_rng(args.seed)
     rows = []
     worst_rel = 0.0
     worst_abs = 0.0
@@ -311,7 +313,8 @@ def _cmd_oracle_check(args) -> int:
         for x in xs:
             xv = np.array([x])
             u_q = float(quadrature_control(params, t, xv, energy)[0])
-            u_is = float(uhis_control(params, cfg, t, xv, energy).drift[0])
+            xi = normals_from(rng, (args.n_is, 1))
+            u_is = float(uhis_control(params, cfg, t, xv, energy, xi).drift[0])
             err = abs(u_is - u_q)
             if abs(u_q) >= 0.05:
                 rel = err / abs(u_q)

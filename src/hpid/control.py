@@ -11,10 +11,10 @@ Three interchangeable ways to estimate the optimal drift at (t, x):
   dimensions; slow, but the reference the other two are tested against.
 
 Evaluator classes at the bottom adapt each to the integrator protocol:
-``noise_shape(dim)`` declares per-call standard-normal demand (None for
-deterministic evaluators) and ``__call__(t, x, xi=None)`` returns a
-ControlOutput. All evaluators accept x with leading batch axes, and all but
-the Legendre one take a scalar or a matrix potential alike.
+``noise_shape(dim)`` declares the standard normals a call needs (None for
+deterministic evaluators), which the caller always passes as xi, and
+``__call__(t, x, xi=None)`` returns a ControlOutput. All evaluators accept
+x with leading batch axes; all but Legendre take scalar or matrix beta.
 """
 
 from dataclasses import dataclass, field
@@ -35,43 +35,32 @@ from .kernels import (
     drift_prefactors,
     log_kernel_ratio,
 )
-from .rng import normals_from
 from .stationary import ProbeGaussian, legendre_control, universal_probe
 
 
-@dataclass
+@dataclass(frozen=True)
 class UhisConfig:
     """Importance-sampling settings for the universal-probe drift estimate.
 
-    n_is probe samples per evaluation. rng_stream supplies standard
-    normals when the caller does not pass them explicitly (defaults to a
-    fresh seed-0 generator, so repeated runs are reproducible).
-    reuse_probe_noise shares one block of N draws across every
-    trajectory instead of drawing per-trajectory blocks; the path
-    integrator redraws the shared block each step, while direct repeated
-    calls reuse a single cached block. Off by default because sharing
-    correlates trajectories within a step. At t <= t_min, and whenever
-    the probe denominator underflows, the probe falls back to
-    N(0, wide_sigma2 I).
+    n_is probe samples per evaluation. reuse_probe_noise makes the path
+    integrator draw one (n_is, d) panel per step, shared by every
+    trajectory, instead of per-trajectory blocks. Off by default because
+    sharing correlates trajectories within a step. At t <= t_min, and
+    whenever the probe denominator underflows, the probe falls back to
+    N(0, wide_sigma2 I). Immutable and free of random state: the noise
+    always comes from the caller, so a config can be shared by threads.
     """
 
     n_is: int
-    rng_stream: np.random.Generator | None = None
     reuse_probe_noise: bool = False
     t_min: float = 0.0
     wide_sigma2: float = 1.0
-    _cached_noise: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.n_is < 1:
             raise InputError(f"n_is must be >= 1, got {self.n_is}")
         if not (np.isfinite(self.wide_sigma2) and self.wide_sigma2 > 0):
             raise InputError(f"wide_sigma2 must be positive, got {self.wide_sigma2}")
-
-    def _stream(self) -> np.random.Generator:
-        if self.rng_stream is None:
-            self.rng_stream = np.random.default_rng(0)
-        return self.rng_stream
 
 
 @dataclass(frozen=True)
@@ -163,29 +152,8 @@ def _probe_or_wide(params, t, x, t_min, wide_sigma2):
     return wide, False
 
 
-def _shared_panel(xi):
-    """The (n, d) base block when xi broadcasts one panel over the batch.
-
-    Only a true zero-stride broadcast counts: an owned block that merely
-    has one row must take the generic path, so a single trajectory stays
-    bitwise identical to the same row inside a larger batch.
-    """
-    if xi.ndim == 3 and xi.strides[0] == 0:
-        return xi[0]
-    return None
-
-
-def _draw_noise(cfg: UhisConfig, batch_shape: tuple, dim: int) -> np.ndarray:
-    full = batch_shape + (cfg.n_is, dim)
-    if cfg.reuse_probe_noise:
-        if cfg._cached_noise is None or cfg._cached_noise.shape != (cfg.n_is, dim):
-            cfg._cached_noise = normals_from(cfg._stream(), (cfg.n_is, dim))
-        return np.broadcast_to(cfg._cached_noise, full)
-    return normals_from(cfg._stream(), full)
-
-
 def uhis_control(
-    params: Potential, cfg: UhisConfig, t: float, x, energy, xi=None
+    params: Potential, cfg: UhisConfig, t: float, x, energy, xi
 ) -> ControlOutput:
     """Importance-sampled optimal drift at (t, x) for an energy target.
 
@@ -193,35 +161,34 @@ def uhis_control(
     exp(-E(y)) alone: the kernel ratio over the probe density is constant
     in y, so it cancels in the self-normalized weights. Only the wide
     fallback probe carries that ratio explicitly. The drift recomposes
-    from the weighted state. Pass xi (standard normals, shape
-    x.shape[:-1] + (n_is, d)) to control the noise explicitly; otherwise
-    cfg.rng_stream supplies it.
+    from the weighted state. xi holds the standard normals behind the
+    draws: one (n_is, d) panel shared by every point, or one block per
+    point, shape x.shape[:-1] + (n_is, d).
     """
     _validate_t(t, 0.0, 1.0, True, False)
     x = _as_points(params, "x", x)
+    shared = (cfg.n_is, params.dim)
+    owned = x.shape[:-1] + shared
+    got = None if xi is None else np.shape(xi)
+    if got not in (shared, owned):
+        raise InputError(
+            f"xi must be one panel {shared} shared by every point or one block "
+            f"per point {owned}, got {got}"
+        )
+    xi = np.asarray(xi, dtype=float)
     probe, universal = _probe_or_wide(params, t, x, cfg.t_min, cfg.wide_sigma2)
-    if xi is None:
-        xi = _draw_noise(cfg, x.shape[:-1], params.dim)
-    else:
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != x.shape[:-1] + (cfg.n_is, params.dim):
-            raise InputError(
-                f"xi must have shape {x.shape[:-1] + (cfg.n_is, params.dim)}, "
-                f"got {xi.shape}"
-            )
-    panel = _shared_panel(xi) if (universal and x.ndim == 2) else None
     panel_fn = getattr(energy, "panel_logw", None)
-    if panel is not None and panel_fn is not None:
+    if universal and x.ndim == 2 and xi.ndim == 2 and panel_fn is not None:
         # the weights are exp(-E) alone, so a shared panel never
         # materializes (B, N, d): y = mean + scale * panel row
-        scale, panel = probe.spread(panel)
+        scale, panel = probe.spread(xi)
         log_w = np.asarray(panel_fn(probe.mean, scale, panel), dtype=float)
         w, ess, max_w = _softmax_weights(log_w)
         # einsum, not gemm: its reduction order is independent of the
         # batch shape, keeping rows bitwise stable under batch splits
         xhat = probe.mean + scale * np.einsum("...n,nd->...d", w, panel)
     else:
-        ys = probe.draw(xi)
+        ys = probe.draw(np.broadcast_to(xi, owned))
         energies = np.asarray(energy.value(ys), dtype=float)
         if universal:
             log_w = -energies

@@ -255,6 +255,15 @@ def _ret(a):
     return float(a) if a.ndim == 0 else a
 
 
+def _scalar_beta(params) -> float:
+    """beta of an isotropic potential, for the routines that need one."""
+    if not isinstance(params, ScalarBeta):
+        raise InputError(
+            f"this routine needs a scalar beta (ScalarBeta), got {type(params).__name__}"
+        )
+    return params.beta
+
+
 def kernel_coeffs(params: ScalarBeta, t: float) -> KernelCoeffs:
     """All quadratic-form coefficients at time t in [0, 1), isotropic beta.
 
@@ -262,9 +271,10 @@ def kernel_coeffs(params: ScalarBeta, t: float) -> KernelCoeffs:
     are +inf / -inf there.
     """
     _validate_t(t, 0.0, 1.0, True, False)
-    am, bm, lcm = _abc(params.beta, 1.0 - t)
+    beta = _scalar_beta(params)
+    am, bm, lcm = _abc(beta, 1.0 - t)
     if t > 0.0:
-        ap, bp, lcp = _abc(params.beta, t)
+        ap, bp, lcp = _abc(beta, t)
     else:
         ap, bp, lcp = np.inf, np.inf, -np.inf
     return KernelCoeffs(

@@ -39,7 +39,7 @@ from .control import (
     UhisConfig,
     UhisControlEvaluator,
 )
-from .errors import ConfigError, IntegrationError
+from .errors import AccuracyError, ConfigError, IntegrationError
 from .kernels import ScalarBeta, decompose, log_g_plus
 from .sde import SdeConfig, integrate_batch
 from .targets import Energy, load_dataset, save_dataset
@@ -191,13 +191,14 @@ def _validate_and_build(cfg: RunConfig):
     return params, dim, evaluator, energy, desc
 
 
-def _chunk_size(mode: str, cfg: RunConfig, dim: int) -> int:
+def _chunk_size(mode: str, cfg: RunConfig, dim: int, n_rows: int = 1) -> int:
+    """Trajectories per chunk; n_rows is the dataset size S of an empirical run."""
     if mode == "uhis":
         n_is = cfg.uhis.n_is if cfg.uhis is not None else 1000
         return max(1, _CHUNK_ELEMENTS // max(1, n_is * dim))
     if mode == "quadrature-oracle" or mode == "legendre":
         return 256  # per-row solves; small chunks keep failures early
-    return 4096
+    return max(1, _CHUNK_ELEMENTS // n_rows)  # (B, S) kernel log-ratios
 
 
 def _log_z_terms(params, energy, batch):
@@ -206,15 +207,15 @@ def _log_z_terms(params, energy, batch):
     return batch.log_girsanov - batch.potential_integral - e_term - g_term
 
 
-def _write_aborted(cfg: RunConfig, canonical, err: IntegrationError, done: int):
+def _write_aborted(cfg: RunConfig, canonical, err: Exception, done: int):
     if cfg.out_dir is None:
         return
     os.makedirs(cfg.out_dir, exist_ok=True)
     manifest = {
         "status": "aborted",
         "error": str(err),
-        "failed_step": err.step,
-        "failed_trajectory": err.trajectory,
+        "failed_step": getattr(err, "step", None),
+        "failed_trajectory": getattr(err, "trajectory", None),
         "trajectories_completed": done,
         "config": canonical,
         "config_sha256": _config_hash(canonical),
@@ -284,7 +285,7 @@ def run(cfg: RunConfig) -> RunSummary:
     canonical = _canonical_config(cfg, params, dim, desc)
     chash = _config_hash(canonical)
     S = cfg.n_samples
-    chunk = _chunk_size(cfg.control_mode, cfg, dim)
+    chunk = _chunk_size(cfg.control_mode, cfg, dim, desc.get("count", 1))
     starts = list(range(0, S, chunk))
     record_weighted = cfg.sde.record_weighted_state or cfg.n_record > 0
     sde_cfg = (
@@ -315,7 +316,7 @@ def run(cfg: RunConfig) -> RunSummary:
         else:
             for s in starts:
                 batches.append(_one(s))
-    except IntegrationError as err:
+    except (IntegrationError, AccuracyError) as err:
         # chunks are collected in order, so these precede the failing one
         done = sum(b.terminals.shape[0] for b in batches)
         _write_aborted(cfg, canonical, err, done=done)

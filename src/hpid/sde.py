@@ -146,7 +146,7 @@ def integrate_batch(
                 # one panel per step, shared by the whole batch; keying by
                 # step only keeps the paths invariant under batch splits
                 block = normal_rows(cfg.seed, k, PURPOSE_PROBE, 0, 1, width)
-                xi_probe = np.broadcast_to(block.reshape(n_is, dim), (B, n_is, dim))
+                xi_probe = block.reshape(n_is, dim)
             else:
                 xi_probe = normal_rows(
                     cfg.seed, k, PURPOSE_PROBE, first_trajectory, B, width

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProbeGaussianError, DomainError
+from .errors import DegenerateProbeGaussianError, DomainError, InputError
 from .kernels import (
     _LOG_2PI,
     BETA_ZERO_TOL,
@@ -29,6 +29,7 @@ from .kernels import (
     _h_probe,
     _log_sinh,
     _ret,
+    _scalar_beta,
     _validate_t,
     _wsum,
     drift_prefactors,
@@ -194,7 +195,7 @@ def nonuniversal_point(
     if x.ndim != 1:
         raise InputError(f"x must be a single point, got shape {x.shape}")
     c1, c2 = drift_prefactors(params, t)
-    h = float(_h_probe(np.asarray(params.beta), t))
+    h = float(_h_probe(np.asarray(_scalar_beta(params)), t))
     d = x.shape[0]
 
     if t == 0.0:

@@ -33,6 +33,7 @@ from hpid.kernels import (
     log_g_plus,
     log_kernel_ratio,
 )
+from hpid.rng import normals_from
 from hpid.sampler import RunConfig, estimate_z_convergence, run
 from hpid.sde import SdeConfig, integrate_batch
 from hpid.stationary import nonuniversal_point, universal_probe
@@ -62,13 +63,15 @@ def test_importance_control_matches_quadrature_oracle():
     worst = 0.0
     for k, beta in enumerate((0.0, 0.5, 2.0)):
         params = ScalarBeta(beta, 1)
-        cfg = UhisConfig(n_is=10**5, rng_stream=np.random.default_rng(47 + k))
+        cfg = UhisConfig(n_is=10**5)
+        rng = np.random.default_rng(47 + k)
         xis = (-2.2, -2.0, 2.0, 2.2) if beta == 2.0 else (-2.0, -1.8, 1.8, 2.0)
         for t in (0.70, 0.75, 0.80, 0.85, 0.90):
             for xi in xis:
                 x = np.array([_scale(beta, t) * xi])
                 u_q = float(quadrature_control(params, t, x, energy)[0])
-                u_is = float(uhis_control(params, cfg, t, x, energy).drift[0])
+                xi_is = normals_from(rng, (10**5, 1))
+                u_is = float(uhis_control(params, cfg, t, x, energy, xi_is).drift[0])
                 if abs(u_q) >= 0.05:
                     worst = max(worst, abs(u_is - u_q) / (0.02 * abs(u_q)))
                 else:
@@ -406,8 +409,9 @@ def test_importance_error_scales_inverse_root_n():
     for i, n in enumerate(sizes):
         sq = 0.0
         for r in range(60):
-            cfg = UhisConfig(n_is=n, rng_stream=np.random.default_rng(8000 + 1000 * i + r))
-            u = float(uhis_control(params, cfg, t, x, energy).drift[0])
+            cfg = UhisConfig(n_is=n)
+            xi = normals_from(np.random.default_rng(8000 + 1000 * i + r), (n, 1))
+            u = float(uhis_control(params, cfg, t, x, energy, xi).drift[0])
             sq += (u - u_star) ** 2
         errs.append(math.sqrt(sq / 60))
     slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]

@@ -3,6 +3,8 @@
 Frozen literals come from tools/make_oracles.py (mpmath, 50 digits).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,11 @@ def test_uhis_config_validation():
         UhisConfig(n_is=0)
     with pytest.raises(InputError):
         UhisConfig(n_is=8, wide_sigma2=0.0)
+    # settings only: no random state, and immutable so threads can share it
+    fields = [f.name for f in dataclasses.fields(UhisConfig)]
+    assert fields == ["n_is", "reuse_probe_noise", "t_min", "wide_sigma2"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        UhisConfig(n_is=8).n_is = 16
 
 
 def test_empirical_frozen_values():
@@ -122,6 +129,11 @@ def test_uhis_xi_shape_validated():
         uhis_control(
             params, cfg, 0.3, np.zeros(2), _mixture2(), xi=np.zeros((8, 2))
         )
+    # the noise always comes from the caller; the message names both layouts
+    x = np.zeros((3, 2))
+    for xi in (None, np.zeros((1, 16, 2)), np.zeros((3, 16, 1))):
+        with pytest.raises(InputError, match=r"\(16, 2\).*\(3, 16, 2\)"):
+            uhis_control(params, cfg, 0.3, x, _mixture2(), xi)
 
 
 def test_uhis_all_weights_vanish():
@@ -132,17 +144,32 @@ def test_uhis_all_weights_vanish():
 
     params = ScalarBeta(beta=0.5, dim=1)
     cfg = UhisConfig(n_is=8)
+    xi = normals_from(np.random.default_rng(0), (8, 1))
     with pytest.raises(AccuracyError):
-        uhis_control(params, cfg, 0.5, np.zeros(1), InfiniteEnergy(dim=1))
+        uhis_control(params, cfg, 0.5, np.zeros(1), InfiniteEnergy(dim=1), xi)
+
+
+class _PanelCounter:
+    """Energy proxy that counts the factorized shared-panel calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.panel_calls = 0
+
+    def value(self, y):
+        return self.inner.value(y)
+
+    def panel_logw(self, means, scale, panel):
+        self.panel_calls += 1
+        return self.inner.panel_logw(means, scale, panel)
 
 
 def test_uhis_shared_panel_matches_owned_noise():
-    # broadcasting one panel over the batch rides a factorized fast path;
-    # an owned copy of the identical numbers takes the generic path
+    # one (n_is, d) panel shared by the batch rides a factorized fast path;
+    # a per-point copy of the identical numbers takes the generic path
     block = normals_from(np.random.default_rng(21), (256, 2))
     B = 5
-    shared = np.broadcast_to(block, (B, 256, 2))
-    owned = np.array(shared)
+    owned = np.array(np.broadcast_to(block, (B, 256, 2)))
     x = np.random.default_rng(22).normal(size=(B, 2))
     q, _ = np.linalg.qr(np.random.default_rng(23).normal(size=(2, 2)))
     potentials = (
@@ -151,16 +178,19 @@ def test_uhis_shared_panel_matches_owned_noise():
         decompose(np.diag([0.3, 1.4])),
         decompose(q @ np.diag([0.3, 1.4]) @ q.T),
     )
-    for energy in (GaussianEnergy(dim=2, sigma2=0.5), _mixture2()):
+    for inner in (GaussianEnergy(dim=2, sigma2=0.5), _mixture2()):
+        energy = _PanelCounter(inner)
         for params in potentials:
             cfg = UhisConfig(n_is=256)
             for t in (0.05, 0.5, 0.9):
-                a = uhis_control(params, cfg, t, x, energy, xi=shared)
+                a = uhis_control(params, cfg, t, x, energy, xi=block)
                 b = uhis_control(params, cfg, t, x, energy, xi=owned)
                 assert_allclose(a.drift, b.drift, rtol=5e-9, atol=1e-12)
                 assert_allclose(a.weighted_state, b.weighted_state, rtol=5e-9, atol=1e-12)
                 assert_allclose(a.ess, b.ess, rtol=5e-9)
                 assert_allclose(a.max_weight, b.max_weight, rtol=5e-9)
+        # the shared panel took the fast path every time, the owned block never
+        assert energy.panel_calls == len(potentials) * 3
 
 
 def test_uhis_wide_fallback_below_t_min():
@@ -169,34 +199,24 @@ def test_uhis_wide_fallback_below_t_min():
     params = ScalarBeta(beta=0.7, dim=2)
     cfg = UhisConfig(n_is=64, t_min=0.2, wide_sigma2=2.0)
     block = normals_from(np.random.default_rng(3), (64, 2))
-    shared = np.broadcast_to(block, (4, 64, 2))
+    owned = np.array(np.broadcast_to(block, (4, 64, 2)))
     x = np.random.default_rng(4).normal(size=(4, 2))
-    a = uhis_control(params, cfg, 0.1, x, _mixture2(), xi=shared)
-    b = uhis_control(params, cfg, 0.1, x, _mixture2(), xi=np.array(shared))
+    a = uhis_control(params, cfg, 0.1, x, _mixture2(), xi=block)
+    b = uhis_control(params, cfg, 0.1, x, _mixture2(), xi=owned)
     assert_allclose(a.drift, b.drift, rtol=1e-12)
     assert np.isfinite(a.drift).all()
 
 
-def test_uhis_reuse_caches_block_for_direct_calls():
+def test_uhis_evaluator_declares_reuse_and_noise_shape():
     params = ScalarBeta(beta=0.5, dim=2)
     ev = UhisControlEvaluator(
         params, _mixture2(), UhisConfig(n_is=32, reuse_probe_noise=True)
     )
     assert ev.reuse_probe_noise
     assert ev.noise_shape(2) == (32, 2)
-    x = np.array([[0.1, 0.2], [0.5, -0.3]])
-    a = ev(0.4, x)
-    b = ev(0.4, x)
-    assert np.array_equal(a.drift, b.drift)
-
-
-def test_uhis_fresh_noise_differs_between_calls():
-    params = ScalarBeta(beta=0.5, dim=2)
-    ev = UhisControlEvaluator(params, _mixture2(), UhisConfig(n_is=32))
-    x = np.array([[0.1, 0.2]])
-    a = ev(0.4, x)
-    b = ev(0.4, x)
-    assert not np.array_equal(a.drift, b.drift)
+    # reuse is the integrator's to arrange: a direct call brings its own noise
+    with pytest.raises(InputError):
+        ev(0.4, np.array([[0.1, 0.2], [0.5, -0.3]]))
 
 
 def test_uhis_general_matches_scalar_for_isotropic_matrix():
@@ -224,10 +244,9 @@ def test_probe_choice_does_not_move_the_limit():
     for label, t_min in (("universal", 0.0), ("wide", 1.0)):
         vals = np.empty(reps)
         for r in range(reps):
-            cfg = UhisConfig(
-                n_is=n, rng_stream=np.random.default_rng(1000 + r), t_min=t_min
-            )
-            vals[r] = uhis_control(params, cfg, t, x, energy).drift[0]
+            cfg = UhisConfig(n_is=n, t_min=t_min)
+            xi = normals_from(np.random.default_rng(1000 + r), (n, 1))
+            vals[r] = uhis_control(params, cfg, t, x, energy, xi).drift[0]
         est[label] = (vals.mean(), vals.std(ddof=1) / np.sqrt(reps))
     gap = abs(est["universal"][0] - est["wide"][0])
     bar = 3.0 * np.hypot(est["universal"][1], est["wide"][1])

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 import hpid.sampler as sampler_mod
 from hpid.control import EmpiricalTarget, QuadratureGrid, UhisConfig
-from hpid.errors import ConfigError, IntegrationError
+from hpid.errors import AccuracyError, ConfigError, IntegrationError
 from hpid.sampler import RunConfig, estimate_z_convergence, run
 from hpid.sde import SdeConfig
 from hpid.targets import GaussianEnergy, grid_mixture, load_dataset
@@ -198,6 +198,49 @@ def test_aborted_run_writes_manifest(tmp_path, monkeypatch):
         assert "diverged at step 3" in doc["error"]
         # the first chunk finished before the failing one
         assert doc["trajectories_completed"] == 4
+
+
+def test_accuracy_failure_writes_manifest(tmp_path):
+    # an estimator that cannot meet its contract mid-run aborts the run
+    # like a diverged path does; it carries no step or trajectory
+    class InfiniteEnergy(GaussianEnergy):
+        def value(self, y):
+            return np.full(np.shape(y)[:-1], np.inf)
+
+    out = tmp_path / "run"
+    cfg = _gauss_cfg(
+        n_samples=4,
+        energy=InfiniteEnergy(dim=2),
+        uhis=UhisConfig(n_is=16),
+        out_dir=str(out),
+    )
+    with pytest.raises(AccuracyError):
+        run(cfg)
+    doc = json.loads((out / "summary.json").read_text())
+    assert doc["status"] == "aborted"
+    assert "importance weights vanished" in doc["error"]
+    assert doc["failed_step"] is None
+    assert doc["failed_trajectory"] is None
+    assert doc["trajectories_completed"] == 0
+
+
+def test_dataset_chunks_bound_the_working_set(monkeypatch):
+    # each step holds (B, S) kernel log-ratios, so a dataset of S rows
+    # runs in chunks of at most _CHUNK_ELEMENTS // S trajectories
+    whole = run(_dataset_cfg())
+    sizes = []
+    inner = sampler_mod.integrate_batch
+
+    def spy(*a, **k):
+        sizes.append(k["n_trajectories"])
+        return inner(*a, **k)
+
+    monkeypatch.setattr(sampler_mod, "integrate_batch", spy)
+    monkeypatch.setattr(sampler_mod, "_CHUNK_ELEMENTS", 30)  # S = 3 rows
+    split = run(_dataset_cfg())
+    assert sizes == [10, 10, 10, 2]
+    assert np.array_equal(split.terminals, whole.terminals)
+    assert np.array_equal(split.ess_min, whole.ess_min)
 
 
 _GRID_CENTERS = [[a, b] for a in (-5.0, 0.0, 5.0) for b in (-5.0, 0.0, 5.0)]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hpid.control import (
@@ -161,6 +163,44 @@ def test_batch_partition_invariance(reuse):
         np.concatenate([head.potential_integral, tail.potential_integral]),
     )
     assert np.array_equal(whole.states, np.concatenate([head.states, tail.states]))
+
+
+_GEMM_ROWS = pytest.mark.xfail(
+    reason="the shared panel's log-weights are a GEMM whose rows change in "
+    "the last bit with the batch row count (a 1-row tail, e.g. 3 = 2 + 1), "
+    "until the controls run on fixed-shape row tiles",
+    strict=False,
+)
+
+
+@pytest.mark.parametrize("reuse", [False, pytest.param(True, marks=_GEMM_ROWS)])
+@given(n=st.integers(2, 12), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_any_batch_split_is_bitwise_invariant(reuse, n, data):
+    # the probe noise is addressed by trajectory (or shared by step), so
+    # every split of a batch reproduces the one-batch run bit for bit
+    split = data.draw(st.integers(1, n - 1), label="split")
+    params = ScalarBeta(beta=0.6, dim=2)
+    cfg = SdeConfig(n_steps=4, seed=5)
+    control = UhisControlEvaluator(
+        params, _mixture2(), UhisConfig(n_is=8, reuse_probe_noise=reuse)
+    )
+
+    def batch(first, size):
+        return integrate_batch(
+            cfg,
+            control,
+            dim=2,
+            n_trajectories=size,
+            first_trajectory=first,
+            params=params,
+            record="all",
+        )
+
+    whole, head, tail = batch(0, n), batch(0, split), batch(split, n - split)
+    for name in ("terminals", "log_girsanov", "states"):
+        parts = np.concatenate([getattr(head, name), getattr(tail, name)])
+        assert np.array_equal(getattr(whole, name), parts), name
 
 
 def test_single_trajectory_matches_batch_row():

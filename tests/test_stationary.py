@@ -9,8 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hpid.errors import DegenerateProbeGaussianError
-from hpid.kernels import ScalarBeta, decompose, drift_prefactors, _h_probe
+from hpid.errors import DegenerateProbeGaussianError, InputError
+from hpid.kernels import (
+    ScalarBeta,
+    _h_probe,
+    decompose,
+    drift_prefactors,
+    kernel_coeffs,
+)
 from hpid.stationary import (
     legendre_control,
     nonuniversal_point,
@@ -174,3 +180,23 @@ def test_legendre_control_constant_energy_recomposition():
     c1, c2 = drift_prefactors(params, t)
     probe = universal_probe(params, t, x)
     assert_allclose(u, c1 * (probe.mean - c2 * x), rtol=1e-9, atol=1e-12)
+
+
+def test_scalar_only_routines_reject_matrix_beta():
+    # the Newton solve and the coefficient record take one scalar curvature
+    matrix = decompose(np.diag([0.5, 0.5]))
+    energy = GaussianEnergy(dim=2)
+    calls = (
+        lambda: kernel_coeffs(matrix, 0.5),
+        lambda: nonuniversal_point(matrix, 0.5, np.zeros(2), energy),
+        lambda: legendre_control(matrix, 0.5, np.zeros((3, 2)), energy),
+    )
+    for call in calls:
+        with pytest.raises(InputError, match="scalar beta"):
+            call()
+
+
+def test_nonuniversal_point_rejects_batched_x():
+    params = ScalarBeta(beta=0.5, dim=2)
+    with pytest.raises(InputError, match="single point"):
+        nonuniversal_point(params, 0.5, np.zeros((3, 2)), GaussianEnergy(dim=2))
