@@ -50,7 +50,9 @@ committed = (batch.max_weight_series[:, -1] > 0.999).mean()
 print(f"trajectories whose final softmax weight exceeds 0.999: {committed:.0%}")
 
 # overlap curves: when does each normalized curve first cross 1/2?
-series = autocorrelation(batch)
+series = autocorrelation(
+    batch.times, batch.states, batch.weighted_states, batch.terminals
+)
 t_w = transition_time(series)
 t_s = float(np.nanmedian(transition_times_per(series, which="state")))
 print(f"\nweighted state crosses 0.5 at t = {t_w:.3f}")

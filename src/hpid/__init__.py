@@ -62,8 +62,6 @@ from .sampler import (
 from .sde import (
     BatchTrajectories,
     SdeConfig,
-    Trajectory,
-    integrate,
     integrate_batch,
 )
 from .stationary import (
@@ -119,7 +117,6 @@ __all__ = [
     "RunSummary",
     "ScalarBeta",
     "SdeConfig",
-    "Trajectory",
     "UhisConfig",
     "UhisControlEvaluator",
     "autocorrelation",
@@ -129,7 +126,6 @@ __all__ = [
     "empirical_control",
     "estimate_z_convergence",
     "grid_mixture",
-    "integrate",
     "integrate_batch",
     "kernel_coeffs",
     "legendre_control",

@@ -54,7 +54,6 @@ from .errors import (
 from .kernels import ScalarBeta
 from .rng import normals_from
 from .sampler import estimate_z_convergence, run
-from .sde import Trajectory
 from .targets import DoubleWellEnergy, GaussianMixtureEnergy, load_dataset
 
 
@@ -206,35 +205,42 @@ def _load_run_dir(run_dir: str):
         doc = json.load(f)
     if doc.get("status") != "complete":
         raise ConfigError(f"run in {run_dir} has status {doc.get('status')!r}")
-    target = load_dataset(os.path.join(run_dir, doc["terminals"]))
+    target = load_dataset(_listed_file(run_dir, doc["terminals"]))
     return doc, target.samples
 
 
+def _listed_file(run_dir: str, name: str) -> str:
+    path = os.path.join(run_dir, name)
+    if not os.path.exists(path):
+        raise FormatError(f"{path} is listed in summary.json but missing")
+    return path
+
+
 def _load_trajectories(run_dir: str, doc: dict, terminals: np.ndarray):
+    """(times, states, weighted, terminals) of the run's trajectory files,
+    or None when the run recorded none."""
     names = doc.get("trajectories") or []
+    if not names:
+        return None
     d = terminals.shape[1]
-    trajs = []
+    times = None
+    states, weighted, rows = [], [], []
     for name in names:
-        idx = int(name.rsplit("_", 1)[1].split(".")[0])
-        data = np.loadtxt(os.path.join(run_dir, name), delimiter=",", skiprows=1, ndmin=2)
+        data = np.loadtxt(
+            _listed_file(run_dir, name), delimiter=",", skiprows=1, ndmin=2
+        )
         if data.shape[1] != 2 * d + 2:
             raise FormatError(
                 f"{name}: expected {2 * d + 2} columns for dim {d}, got {data.shape[1]}"
             )
-        trajs.append(
-            Trajectory(
-                times=data[:, 0],
-                states=data[:, 1 : d + 1],
-                weighted_states=data[:, d + 1 : 2 * d + 1],
-                terminal=terminals[idx],
-                ess_series=data[:, -1],
-                max_weight_series=np.ones(data.shape[0]),
-                log_girsanov=0.0,
-                potential_integral=0.0,
-                terminal_weighted=None,
-            )
-        )
-    return trajs
+        if times is None:
+            times = data[:, 0]
+        elif not np.array_equal(data[:, 0], times):
+            raise FormatError(f"{name}: t column differs from {names[0]}'s")
+        states.append(data[:, 1 : d + 1])
+        weighted.append(data[:, d + 1 : 2 * d + 1])
+        rows.append(int(name.rsplit("_", 1)[1].split(".")[0]))
+    return times, np.stack(states), np.stack(weighted), terminals[rows]
 
 
 def _mixture_from_doc(doc):
@@ -261,17 +267,17 @@ def _mixture_from_doc(doc):
 
 def _cmd_diagnose(args) -> int:
     doc, terminals = _load_run_dir(args.run)
-    trajs = _load_trajectories(args.run, doc, terminals)
+    recorded = _load_trajectories(args.run, doc, terminals)
     mixture = _mixture_from_doc(doc)
-    if not trajs and mixture is None:
+    if recorded is None and mixture is None:
         raise ConfigError(
             f"run in {args.run} recorded no trajectories and has no mode "
             "structure to report; rerun with record > 0"
         )
     out_dir = args.out or args.run
     os.makedirs(out_dir, exist_ok=True)
-    if trajs:
-        series = autocorrelation(trajs)
+    if recorded is not None:
+        series = autocorrelation(*recorded)
         boot = None
         if args.bootstrap > 0 and series.n_trajectories >= 2:
             boot = bootstrap_transition_gap(
@@ -309,12 +315,17 @@ def _cmd_oracle_check(args) -> int:
     rows = []
     worst_rel = 0.0
     worst_abs = 0.0
+    min_ess = math.inf
+    n_low = 0
     for t in ts:
         for x in xs:
             xv = np.array([x])
             u_q = float(quadrature_control(params, t, xv, energy)[0])
             xi = normals_from(rng, (args.n_is, 1))
-            u_is = float(uhis_control(params, cfg, t, xv, energy, xi).drift[0])
+            out = uhis_control(params, cfg, t, xv, energy, xi)
+            u_is = float(out.drift[0])
+            min_ess = min(min_ess, float(out.ess))
+            n_low += int(out.low_ess)
             err = abs(u_is - u_q)
             if abs(u_q) >= 0.05:
                 rel = err / abs(u_q)
@@ -339,6 +350,9 @@ def _cmd_oracle_check(args) -> int:
         print(text)
     print(f"max relative control error: {worst_rel:.4g}")
     print(f"max absolute error on small controls: {worst_abs:.4g}")
+    print(f"min ESS: {min_ess:.4g}")
+    # a row whose weight sits on one probe draw is not an estimate
+    print(f"rows with ESS < 1.5: {n_low} of {len(rows)}")
     return 0
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .sde import BatchTrajectories, Trajectory
 from .targets import GaussianMixtureEnergy, assign_modes
 
 
@@ -33,43 +32,26 @@ class AutocorrSeries:
     per_weighted: np.ndarray  # (n_trajectories, R)
 
 
-def _collect(trajs):
-    """(times, states, weighted, terminals) from either input shape."""
-    if isinstance(trajs, BatchTrajectories):
-        if trajs.states is None or trajs.record_indices.size == 0:
-            raise ConfigError("trajectories were integrated without recording")
-        if trajs.weighted_states is None:
-            raise ConfigError(
-                "weighted states were not recorded; set record_weighted_state"
-            )
-        return (
-            trajs.times,
-            trajs.states,
-            trajs.weighted_states,
-            trajs.terminals[trajs.record_indices],
+def autocorrelation(times, states, weighted, terminals) -> AutocorrSeries:
+    """Normalized overlap of x(t) and x-hat(t) with x(1), averaged over paths.
+
+    times (R,), states and weighted (B, R, d), terminals (B, d): the
+    recorded rows of a BatchTrajectories, or the same arrays read back
+    from a run's trajectory files.
+    """
+    if states is None:
+        raise ConfigError("trajectories were integrated without recording")
+    if weighted is None:
+        raise ConfigError(
+            "weighted states were not recorded; set record_weighted_state"
         )
-    trajs = list(trajs)
-    if not trajs:
-        raise InputError("no trajectories given")
-    times = trajs[0].times
-    for tr in trajs:
-        if not isinstance(tr, Trajectory):
-            raise InputError(f"expected Trajectory, got {type(tr).__name__}")
-        if tr.weighted_states is None:
-            raise ConfigError(
-                "weighted states were not recorded; set record_weighted_state"
-            )
-        if tr.times.shape != times.shape or not np.array_equal(tr.times, times):
-            raise InputError("trajectories have mismatched recording grids")
-    states = np.stack([tr.states for tr in trajs])
-    weighted = np.stack([tr.weighted_states for tr in trajs])
-    terminals = np.stack([tr.terminal for tr in trajs])
-    return times, states, weighted, terminals
-
-
-def autocorrelation(trajs) -> AutocorrSeries:
-    """Normalized overlap of x(t) and x-hat(t) with x(1), averaged over paths."""
-    times, states, weighted, terminals = _collect(trajs)
+    shapes = [np.shape(a) for a in (times, states, weighted, terminals)]
+    b, r, d = shapes[1] if len(shapes[1]) == 3 else (0, 0, 0)
+    if b == 0 or shapes != [(r,), (b, r, d), (b, r, d), (b, d)]:
+        raise InputError(
+            f"no trajectories or mismatched shapes {shapes}; expected "
+            "(R,), (B, R, d), (B, R, d), (B, d) with B >= 1"
+        )
     if not np.all(np.isfinite(weighted)):
         raise ConfigError(
             "weighted states contain non-finite entries; the control used "
@@ -84,7 +66,7 @@ def autocorrelation(trajs) -> AutocorrSeries:
         times=times,
         corr_state=per_state.mean(axis=0),
         corr_weighted=per_weighted.mean(axis=0),
-        n_trajectories=states.shape[0],
+        n_trajectories=b,
         per_state=per_state,
         per_weighted=per_weighted,
     )

@@ -224,15 +224,18 @@ def _write_aborted(cfg: RunConfig, canonical, err: Exception, done: int):
         json.dump(manifest, f, indent=2, sort_keys=True)
 
 
-def _write_outputs(cfg: RunConfig, summary: RunSummary, recorded):
+def _write_outputs(cfg: RunConfig, summary: RunSummary, batches, starts):
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     save_dataset(os.path.join(out, "terminals.bin"), summary.terminals)
     traj_files = []
-    for i, batch in recorded:
-        name = f"trajectory_{i}.csv"
-        traj_files.append(name)
-        _write_trajectory_csv(os.path.join(out, name), batch)
+    for b, start in zip(batches, starts):
+        for j, rel in enumerate(b.record_indices):
+            name = f"trajectory_{start + int(rel)}.csv"
+            traj_files.append(name)
+            path = os.path.join(out, name)
+            ws, ess = b.weighted_states[j], b.ess_series[j]
+            _write_trajectory_csv(path, b.times, b.states[j], ws, ess)
     ess = summary.ess_min
     finite = ess[np.isfinite(ess)]
     doc = {
@@ -253,30 +256,14 @@ def _write_outputs(cfg: RunConfig, summary: RunSummary, recorded):
         json.dump(doc, f, indent=2, sort_keys=True)
 
 
-def _write_trajectory_csv(path: str, batch):
-    # columns: t, state, weighted state, ess; one row per recorded step
-    times = batch.times
-    states = batch.states[0]
+def _write_trajectory_csv(path: str, times, states, weighted, ess):
+    """One row per recorded step: t, state, weighted state, ess."""
     d = states.shape[1]
-    ws = batch.weighted_states[0] if batch.weighted_states is not None else None
-    ess = batch.ess_series[0]
-    header = (
-        ["t"]
-        + [f"x{j}" for j in range(d)]
-        + [f"xhat{j}" for j in range(d)]
-        + ["ess"]
+    header = ",".join(
+        ["t"] + [f"x{j}" for j in range(d)] + [f"xhat{j}" for j in range(d)] + ["ess"]
     )
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for r in range(times.shape[0]):
-            row = [f"{times[r]:.17g}"]
-            row += [f"{v:.17g}" for v in states[r]]
-            if ws is None:
-                row += ["nan"] * d
-            else:
-                row += [f"{v:.17g}" for v in ws[r]]
-            row.append(f"{ess[r]:.17g}")
-            f.write(",".join(row) + "\n")
+    table = np.column_stack([times, states, weighted, ess])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def run(cfg: RunConfig) -> RunSummary:
@@ -287,12 +274,8 @@ def run(cfg: RunConfig) -> RunSummary:
     S = cfg.n_samples
     chunk = _chunk_size(cfg.control_mode, cfg, dim, desc.get("count", 1))
     starts = list(range(0, S, chunk))
-    record_weighted = cfg.sde.record_weighted_state or cfg.n_record > 0
-    sde_cfg = (
-        dataclasses.replace(cfg.sde, record_weighted_state=True)
-        if record_weighted and not cfg.sde.record_weighted_state
-        else cfg.sde
-    )
+    # recorded rows are written with their weighted state
+    sde_cfg = dataclasses.replace(cfg.sde, record_weighted_state=True)
 
     def _one(start: int):
         size = min(chunk, S - start)
@@ -324,7 +307,7 @@ def run(cfg: RunConfig) -> RunSummary:
 
     terminals = np.concatenate([b.terminals for b in batches], axis=0)
     ess_min = np.concatenate([b.ess_min_per for b in batches])
-    min_ess = float(min(b.min_ess for b in batches))
+    min_ess = float(ess_min.min())
 
     z = z_se = None
     if energy is not None:
@@ -359,22 +342,7 @@ def run(cfg: RunConfig) -> RunSummary:
         early_terminals=early,
     )
     if cfg.out_dir is not None:
-        recorded = []
-        for b, start in zip(batches, starts):
-            for j, rel in enumerate(b.record_indices):
-                sliced = dataclasses.replace(
-                    b,
-                    states=b.states[j : j + 1],
-                    weighted_states=(
-                        None
-                        if b.weighted_states is None
-                        else b.weighted_states[j : j + 1]
-                    ),
-                    ess_series=b.ess_series[j : j + 1],
-                    max_weight_series=b.max_weight_series[j : j + 1],
-                )
-                recorded.append((start + int(rel), sliced))
-        _write_outputs(cfg, summary, recorded)
+        _write_outputs(cfg, summary, batches, starts)
     return summary
 
 

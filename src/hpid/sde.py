@@ -43,24 +43,13 @@ class SdeConfig:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One recorded path. times hold the drift-evaluation instants; the
-    state at t = 1 lives in terminal, after the last step."""
-
-    times: np.ndarray  # (R,)
-    states: np.ndarray  # (R, d)
-    weighted_states: np.ndarray | None  # (R, d)
-    terminal: np.ndarray  # (d,)
-    ess_series: np.ndarray  # (R,)
-    max_weight_series: np.ndarray  # (R,)
-    log_girsanov: float
-    potential_integral: float
-    terminal_weighted: np.ndarray | None  # x-hat at the last step
-
-
-@dataclass(frozen=True)
 class BatchTrajectories:
-    """Trajectories advanced together; recording restricted to record_indices."""
+    """Trajectories advanced together; recording restricted to record_indices.
+
+    times hold the drift-evaluation instants; the state at t = 1 lives in
+    terminals, after the last step. A control that does not report its
+    weighted state leaves NaN rows in weighted_states.
+    """
 
     times: np.ndarray  # (R,)
     record_indices: np.ndarray  # (B_rec,) indices into the batch
@@ -72,7 +61,6 @@ class BatchTrajectories:
     log_girsanov: np.ndarray  # (B,)
     potential_integral: np.ndarray  # (B,)
     terminal_weighted: np.ndarray | None  # (B, d)
-    min_ess: float
     ess_min_per: np.ndarray  # (B,) minimum ESS over steps, per trajectory
 
 
@@ -132,7 +120,6 @@ def integrate_batch(
     x = np.zeros((B, dim))
     gir = np.zeros(B)
     pot = np.zeros(B)
-    min_ess = math.inf
     ess_min_per = np.full(B, math.inf)
     terminal_weighted = None
 
@@ -160,9 +147,6 @@ def integrate_batch(
 
         ess = np.broadcast_to(np.asarray(out.ess, dtype=float), (B,))
         np.minimum(ess_min_per, ess, out=ess_min_per)
-        step_min = float(ess.min())
-        if step_min < min_ess:
-            min_ess = step_min
         if n_rec and k in rec_col:
             r = rec_col[k]
             states[:, r] = x[rec_idx]  # state at the drift instant
@@ -211,41 +195,6 @@ def integrate_batch(
         log_girsanov=gir,
         potential_integral=pot,
         terminal_weighted=terminal_weighted,
-        min_ess=min_ess,
         ess_min_per=ess_min_per,
     )
 
-
-def integrate(
-    cfg: SdeConfig,
-    control,
-    dim: int,
-    params=None,
-    trajectory_index: int = 0,
-) -> Trajectory:
-    """One path; identical to the same row of any batch containing it."""
-    b = integrate_batch(
-        cfg,
-        control,
-        dim,
-        n_trajectories=1,
-        first_trajectory=trajectory_index,
-        params=params,
-        record="all",
-    )
-    ws = None
-    if b.weighted_states is not None and np.all(np.isfinite(b.weighted_states[0])):
-        ws = b.weighted_states[0]
-    return Trajectory(
-        times=b.times,
-        states=b.states[0],
-        weighted_states=ws,
-        terminal=b.terminals[0],
-        ess_series=b.ess_series[0],
-        max_weight_series=b.max_weight_series[0],
-        log_girsanov=float(b.log_girsanov[0]),
-        potential_integral=float(b.potential_integral[0]),
-        terminal_weighted=(
-            None if b.terminal_weighted is None else b.terminal_weighted[0]
-        ),
-    )

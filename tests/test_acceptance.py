@@ -386,7 +386,9 @@ def test_weighted_state_precedes_state():
     details = []
     for beta in (0.0, 1.0):
         _, batch = _memorization_batch(beta, record_every=4)
-        series = autocorrelation(batch)
+        series = autocorrelation(
+            batch.times, batch.states, batch.weighted_states, batch.terminals
+        )
         boot = bootstrap_transition_gap(series, threshold=0.5, n_resamples=1000, seed=0)
         ok = ok and boot["p5"] >= 0.0
         details.append(f"beta={beta}: gap {boot['gap']:.3f}, p5 {boot['p5']:.3f}")

@@ -36,7 +36,6 @@ PUBLIC = [
     "RunSummary",
     "ScalarBeta",
     "SdeConfig",
-    "Trajectory",
     "UhisConfig",
     "UhisControlEvaluator",
     "autocorrelation",
@@ -46,7 +45,6 @@ PUBLIC = [
     "empirical_control",
     "estimate_z_convergence",
     "grid_mixture",
-    "integrate",
     "integrate_batch",
     "kernel_coeffs",
     "legendre_control",
@@ -69,7 +67,7 @@ PUBLIC = [
 
 
 def test_public_api_is_pinned():
-    assert len(hpid.__all__) == 59
+    assert len(hpid.__all__) == 57
     assert hpid.__all__ == PUBLIC
     missing = [name for name in PUBLIC if not hasattr(hpid, name)]
     assert missing == []

@@ -209,6 +209,38 @@ def test_sample_empirical_and_diagnose(tmp_path, capsys):
     assert curves.shape[0] == 20
 
 
+def _recorded_run(tmp_path, capsys):
+    rows = np.array([[6.0, 0.0], [-6.0, 0.5], [0.0, -6.0]])
+    data = str(tmp_path / "gt.csv")
+    save_dataset(data, rows)
+    out = tmp_path / "run"
+    argv = ["sample-empirical", "--data", data, "--beta", "0.8", "--steps", "10"]
+    argv += ["--samples", "3", "--seed", "4", "--out", str(out), "--record-weighted"]
+    assert main(argv + ["--threads", "1"]) == 0
+    capsys.readouterr()
+    return out
+
+
+@pytest.mark.parametrize("name", ["terminals.bin", "trajectory_1.csv"])
+def test_diagnose_missing_listed_file_is_exit_2(tmp_path, capsys, name):
+    out = _recorded_run(tmp_path, capsys)
+    (out / name).unlink()
+    assert main(["diagnose", "--run", str(out), "--bootstrap", "0"]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "missing" in err
+
+
+def test_diagnose_rejects_differing_time_columns(tmp_path, capsys):
+    out = _recorded_run(tmp_path, capsys)
+    path = out / "trajectory_2.csv"
+    lines = path.read_text().split("\n")
+    lines[2] = "0.5" + lines[2][lines[2].index(",") :]
+    path.write_text("\n".join(lines))
+    assert main(["diagnose", "--run", str(out), "--bootstrap", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "trajectory_2.csv" in err and "t column" in err
+
+
 def test_sample_empirical_missing_data(tmp_path, capsys):
     rc = main(
         [
@@ -342,6 +374,17 @@ def test_oracle_check(tmp_path, capsys):
     lines = open(out).read().strip().split("\n")
     assert lines[0] == "t,x,u_is,u_quadrature,abs_err,rel_err"
     assert len(lines) == 5
+
+
+def test_oracle_check_reports_untrustworthy_rows(capsys):
+    # at t = 0.05 the probe for x = -1.5 sits far outside the wells: all the
+    # weight lands on one draw; the x = 0.5 row is a usable estimate
+    argv = ["oracle-check", "--n-is", "20000", "--seed", "3", "--t-list", "0.05"]
+    assert main(argv + ["--x-list=-1.5,0.5"]) == 0
+    text = capsys.readouterr().out
+    assert "rows with ESS < 1.5: 1 of 2" in text
+    ess_line = [l for l in text.splitlines() if l.startswith("min ESS")][0]
+    assert float(ess_line.rsplit(" ", 1)[1]) < 1.5
 
 
 def test_oracle_check_empty_grid(capsys):

@@ -11,7 +11,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "demo", ["03_control_vs_quadrature.py", "04_empirical_memorization.py"]
+    "demo",
+    [
+        "02_mixture_modes.py",
+        "03_control_vs_quadrature.py",
+        "04_empirical_memorization.py",
+    ],
 )
 def test_demo_runs(demo):
     src = str(ROOT / "src")

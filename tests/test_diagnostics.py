@@ -17,25 +17,21 @@ from hpid.diagnostics import (
 )
 from hpid.errors import ConfigError, InputError
 from hpid.kernels import ScalarBeta
-from hpid.sde import SdeConfig, Trajectory, integrate_batch
+from hpid.sde import SdeConfig, integrate_batch
 from hpid.targets import GaussianMixtureEnergy
 
 
-def _traj(times, state_curve, weighted_curve, terminal=2.0):
+def _traj(state_curve, weighted_curve, terminal=2.0):
     # 1-d states scaled so x(t).x(1)/|x(1)|^2 equals the given curve
     sc = np.asarray(state_curve, dtype=float)
     wc = np.asarray(weighted_curve, dtype=float)
-    return Trajectory(
-        times=np.asarray(times, dtype=float),
-        states=(terminal * sc)[:, None],
-        weighted_states=(terminal * wc)[:, None],
-        terminal=np.array([terminal]),
-        ess_series=np.ones(sc.shape[0]),
-        max_weight_series=np.ones(sc.shape[0]),
-        log_girsanov=0.0,
-        potential_integral=0.0,
-        terminal_weighted=None,
-    )
+    return (terminal * sc)[:, None], (terminal * wc)[:, None], np.array([terminal])
+
+
+def _arrays(times, *trajs):
+    """autocorrelation's (times, states, weighted, terminals) for these rows."""
+    states, weighted, terminals = (np.stack(a) for a in zip(*trajs))
+    return np.asarray(times, dtype=float), states, weighted, terminals
 
 
 TIMES = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -44,7 +40,7 @@ CURVE_B = ([0.0, 0.0, 0.5, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0, 1.0])
 
 
 def _series():
-    return autocorrelation([_traj(TIMES, *CURVE_A), _traj(TIMES, *CURVE_B)])
+    return autocorrelation(*_arrays(TIMES, _traj(*CURVE_A), _traj(*CURVE_B)))
 
 
 def test_autocorrelation_curves_match_construction():
@@ -90,32 +86,26 @@ def test_bootstrap_is_deterministic_and_positive_here():
 
 
 def test_input_validation():
+    times, states, weighted, terminals = _arrays(TIMES, _traj(*CURVE_A))
     with pytest.raises(InputError, match="no trajectories"):
-        autocorrelation([])
-    with pytest.raises(InputError, match="expected Trajectory"):
-        autocorrelation([_traj(TIMES, *CURVE_A), 7])
-    other = _traj([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [0.0, 1.0, 1.0])
-    with pytest.raises(InputError, match="mismatched"):
-        autocorrelation([_traj(TIMES, *CURVE_A), other])
+        autocorrelation(times, states[:0], weighted[:0], terminals[:0])
+    mismatched = [
+        (times[:3], states, weighted, terminals),
+        (times, states, weighted[:, :3], terminals),
+        (times, states, weighted, np.zeros((1, 2))),
+        (times, states, weighted, np.zeros((2, 1))),
+    ]
+    for args in mismatched:
+        with pytest.raises(InputError, match="mismatched shapes"):
+            autocorrelation(*args)
     with pytest.raises(InputError, match="zero"):
-        autocorrelation([_traj(TIMES, *CURVE_A, terminal=0.0)])
-    bad = _traj(TIMES, *CURVE_A)
-    bad.weighted_states[2, 0] = np.nan
+        autocorrelation(*_arrays(TIMES, _traj(*CURVE_A, terminal=0.0)))
+    bad = weighted.copy()
+    bad[0, 2, 0] = np.nan
     with pytest.raises(ConfigError, match="non-finite"):
-        autocorrelation([bad])
-    no_ws = Trajectory(
-        times=bad.times,
-        states=bad.states,
-        weighted_states=None,
-        terminal=bad.terminal,
-        ess_series=bad.ess_series,
-        max_weight_series=bad.max_weight_series,
-        log_girsanov=0.0,
-        potential_integral=0.0,
-        terminal_weighted=None,
-    )
+        autocorrelation(times, states, bad, terminals)
     with pytest.raises(ConfigError, match="weighted states were not recorded"):
-        autocorrelation([no_ws])
+        autocorrelation(times, states, None, terminals)
 
 
 def test_batch_input_requires_recording():
@@ -126,12 +116,16 @@ def test_batch_input_requires_recording():
         cfg, control, dim=1, n_trajectories=3, params=ScalarBeta(1.0, 1), record="none"
     )
     with pytest.raises(ConfigError, match="without recording"):
-        autocorrelation(batch)
+        autocorrelation(
+            batch.times, batch.states, batch.weighted_states, batch.terminals
+        )
     batch = integrate_batch(
         cfg, control, dim=1, n_trajectories=3, params=ScalarBeta(1.0, 1), record="all"
     )
     with pytest.raises(ConfigError, match="record_weighted_state"):
-        autocorrelation(batch)
+        autocorrelation(
+            batch.times, batch.states, batch.weighted_states, batch.terminals
+        )
 
 
 def test_weighted_state_commits_before_state():
@@ -145,7 +139,9 @@ def test_weighted_state_commits_before_state():
     batch = integrate_batch(
         cfg, control, dim=2, n_trajectories=40, params=ScalarBeta(1.0, 2), record="all"
     )
-    series = autocorrelation(batch)
+    series = autocorrelation(
+        batch.times, batch.states, batch.weighted_states, batch.terminals
+    )
     assert series.per_state.shape == (40, batch.times.shape[0])
     t_w = transition_time(series)
     per_state = transition_times_per(series, which="state")

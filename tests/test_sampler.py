@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,10 +7,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hpid.sampler as sampler_mod
-from hpid.control import EmpiricalTarget, QuadratureGrid, UhisConfig
+from hpid.control import (
+    EmpiricalControlEvaluator,
+    EmpiricalTarget,
+    QuadratureGrid,
+    UhisConfig,
+)
 from hpid.errors import AccuracyError, ConfigError, IntegrationError
+from hpid.kernels import ScalarBeta
 from hpid.sampler import RunConfig, estimate_z_convergence, run
-from hpid.sde import SdeConfig
+from hpid.sde import SdeConfig, integrate_batch
 from hpid.targets import GaussianEnergy, grid_mixture, load_dataset
 
 
@@ -164,6 +171,49 @@ def test_output_directory_contents(tmp_path):
     assert np.all(np.diff(rows["t"]) > 0)
     assert np.isfinite(rows["xhat0"]).all()
     assert np.all(rows["ess"] >= 1.0)
+
+
+def _per_value_csv(times, states, weighted, ess):
+    # reference: one f"{v:.17g}" per value, the format of every trajectory file
+    d = states.shape[1]
+    header = ["t"] + [f"x{j}" for j in range(d)] + [f"xhat{j}" for j in range(d)]
+    lines = [",".join(header + ["ess"])]
+    for r in range(times.shape[0]):
+        row = [f"{times[r]:.17g}"]
+        row += [f"{v:.17g}" for v in states[r]]
+        row += [f"{v:.17g}" for v in weighted[r]]
+        row.append(f"{ess[r]:.17g}")
+        lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_trajectory_csvs_are_byte_identical_to_per_value_format(tmp_path, monkeypatch):
+    # chunks of 2 trajectories put recorded row 2 in the second chunk
+    monkeypatch.setattr(sampler_mod, "_CHUNK_ELEMENTS", 6)  # S = 3 rows
+    cfg = _dataset_cfg(out_dir=str(tmp_path / "run"), n_record=3)
+    run(cfg)
+    params = ScalarBeta(beta=cfg.beta, dim=2)
+    ref = integrate_batch(
+        dataclasses.replace(cfg.sde, record_weighted_state=True),
+        EmpiricalControlEvaluator(params, cfg.dataset),
+        dim=2,
+        n_trajectories=cfg.n_samples,
+        params=params,
+        record="all",
+    )
+    for j in range(3):
+        got = (tmp_path / "run" / f"trajectory_{j}.csv").read_bytes()
+        want = _per_value_csv(
+            ref.times, ref.states[j], ref.weighted_states[j], ref.ess_series[j]
+        )
+        assert got == want, j
+    # a control without a weighted state leaves NaN rows
+    blank = np.full_like(ref.states[0], np.nan)
+    path = str(tmp_path / "nan.csv")
+    arrays = (ref.times, ref.states[0], blank, ref.ess_series[0])
+    sampler_mod._write_trajectory_csv(path, *arrays)
+    want = _per_value_csv(*arrays)
+    assert open(path, "rb").read() == want
 
 
 def test_energy_output_manifest(tmp_path):

@@ -13,7 +13,7 @@ from hpid.control import (
 )
 from hpid.errors import InputError, IntegrationError
 from hpid.kernels import ScalarBeta
-from hpid.sde import SdeConfig, integrate, integrate_batch
+from hpid.sde import SdeConfig, integrate_batch
 from hpid.targets import GaussianMixtureEnergy
 
 
@@ -49,14 +49,16 @@ def test_time_grid_convention():
         return np.zeros_like(x)
 
     cfg = SdeConfig(n_steps=5, seed=3)
-    traj = integrate(cfg, FunctionControlEvaluator(spy), dim=2)
+    traj = integrate_batch(
+        cfg, FunctionControlEvaluator(spy), dim=2, n_trajectories=1, record="all"
+    )
     assert len(calls) == 5
     assert calls[0][0] == 0.0
     assert np.all(calls[0][1] == 0.0)
     assert_allclose(calls[-1][0], 1.0 - 0.2)
     assert np.all(np.diff(traj.times) > 0)
     assert_allclose(traj.times[-1], 1.0 - 0.2)
-    assert np.isfinite(traj.terminal).all()
+    assert np.isfinite(traj.terminals[0]).all()
 
 
 def test_uncontrolled_terminal_is_standard_normal():
@@ -210,13 +212,21 @@ def test_single_trajectory_matches_batch_row():
     batch = integrate_batch(
         cfg, control, dim=2, n_trajectories=10, params=params, record=[7]
     )
-    single = integrate(cfg, control, dim=2, params=params, trajectory_index=7)
-    assert np.array_equal(single.terminal, batch.terminals[7])
-    assert single.log_girsanov == batch.log_girsanov[7]
-    assert single.potential_integral == batch.potential_integral[7]
-    assert np.array_equal(single.states, batch.states[0])
-    assert np.array_equal(single.weighted_states, batch.weighted_states[0])
-    assert np.array_equal(single.terminal_weighted, batch.terminal_weighted[7])
+    single = integrate_batch(
+        cfg,
+        control,
+        dim=2,
+        n_trajectories=1,
+        first_trajectory=7,
+        params=params,
+        record="all",
+    )
+    assert np.array_equal(single.terminals[0], batch.terminals[7])
+    assert single.log_girsanov[0] == batch.log_girsanov[7]
+    assert single.potential_integral[0] == batch.potential_integral[7]
+    assert np.array_equal(single.states[0], batch.states[0])
+    assert np.array_equal(single.weighted_states[0], batch.weighted_states[0])
+    assert np.array_equal(single.terminal_weighted[0], batch.terminal_weighted[7])
 
 
 def test_record_selection_and_step_thinning():
@@ -251,22 +261,24 @@ def test_weighted_state_recording():
     target = EmpiricalTarget(np.array([[1.0], [-1.0]]))
     cfg = SdeConfig(n_steps=8, seed=2, record_weighted_state=True)
     control = EmpiricalControlEvaluator(params, target)
-    traj = integrate(cfg, control, dim=1, params=params)
+    traj = integrate_batch(
+        cfg, control, dim=1, n_trajectories=1, params=params, record="all"
+    )
     assert traj.weighted_states is not None
-    assert np.isfinite(traj.weighted_states).all()
+    assert np.isfinite(traj.weighted_states[0]).all()
     # the weighted state is a convex combination of the two targets
-    assert np.all(np.abs(traj.weighted_states) <= 1.0 + 1e-12)
+    assert np.all(np.abs(traj.weighted_states[0]) <= 1.0 + 1e-12)
     assert traj.terminal_weighted is not None
-    assert np.array_equal(traj.terminal_weighted, traj.weighted_states[-1])
+    assert np.array_equal(traj.terminal_weighted[0], traj.weighted_states[0, -1])
 
 
 def test_opaque_control_yields_no_weighted_state():
     cfg = SdeConfig(n_steps=6, seed=2, record_weighted_state=True)
-    traj = integrate(cfg, _zero_control(), dim=1)
-    assert traj.weighted_states is None
+    traj = integrate_batch(cfg, _zero_control(), dim=1, n_trajectories=1, record="all")
+    assert np.all(np.isnan(traj.weighted_states[0]))
     assert traj.terminal_weighted is None
-    assert np.all(traj.ess_series == 1.0)
-    assert np.all(traj.max_weight_series == 1.0)
+    assert np.all(traj.ess_series[0] == 1.0)
+    assert np.all(traj.max_weight_series[0] == 1.0)
 
 
 def test_divergence_raises_integration_error():
@@ -307,4 +319,3 @@ def test_ess_minimum_tracking():
     assert batch.ess_min_per.shape == (5,)
     assert np.all(batch.ess_min_per >= 1.0 - 1e-9)
     assert np.all(batch.ess_min_per <= 64.0 + 1e-9)
-    assert batch.min_ess == pytest.approx(float(batch.ess_min_per.min()))
