@@ -4,10 +4,10 @@ The package draws i.i.d. samples from a target given either as an energy
 function or as empirical ground-truth rows. Closed-form transition
 kernels of the harmonically confined reference process make the optimal
 drift computable pointwise, by importance sampling against an
-energy-independent probe Gaussian, by a convex solve, by an exact
-softmax over dataset rows, or by deterministic quadrature in low
-dimension. A forward Euler integrator then turns controls into samples,
-partition-function estimates, and phase-transition diagnostics.
+energy-independent probe Gaussian, by an exact softmax over dataset
+rows, or by deterministic quadrature in low dimension. A forward Euler
+integrator then turns controls into samples, partition-function
+estimates, and phase-transition diagnostics.
 """
 
 from .control import (
@@ -15,7 +15,6 @@ from .control import (
     EmpiricalControlEvaluator,
     EmpiricalTarget,
     FunctionControlEvaluator,
-    LegendreControlEvaluator,
     QuadratureControlEvaluator,
     QuadratureGrid,
     UhisConfig,
@@ -65,10 +64,7 @@ from .sde import (
     integrate_batch,
 )
 from .stationary import (
-    NonuniversalResult,
     ProbeGaussian,
-    legendre_control,
-    nonuniversal_point,
     universal_probe,
 )
 from .targets import (
@@ -105,10 +101,8 @@ __all__ = [
     "HpidError",
     "InputError",
     "IntegrationError",
-    "LegendreControlEvaluator",
     "MatrixBeta",
     "ModeHistogram",
-    "NonuniversalResult",
     "OffsetEnergy",
     "ProbeGaussian",
     "QuadratureControlEvaluator",
@@ -128,7 +122,6 @@ __all__ = [
     "grid_mixture",
     "integrate_batch",
     "kernel_coeffs",
-    "legendre_control",
     "load_dataset",
     "log_g_minus",
     "log_g_plus",
@@ -136,7 +129,6 @@ __all__ = [
     "make_energy",
     "mixture_partition_oracle",
     "mode_assignment",
-    "nonuniversal_point",
     "quadrature_control",
     "run",
     "save_dataset",

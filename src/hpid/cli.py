@@ -20,12 +20,14 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import __version__
 from .config import (
+    _CONTROLS,
     build_run_config,
     config_sha,
     config_text,
@@ -216,16 +218,27 @@ def _listed_file(run_dir: str, name: str) -> str:
     return path
 
 
+_TRAJECTORY_NAME = re.compile(r"trajectory_([0-9]+)\.csv")
+
+
 def _load_trajectories(run_dir: str, doc: dict, terminals: np.ndarray):
     """(times, states, weighted, terminals) of the run's trajectory files,
     or None when the run recorded none."""
     names = doc.get("trajectories") or []
     if not names:
         return None
-    d = terminals.shape[1]
+    n, d = terminals.shape
     times = None
     states, weighted, rows = [], [], []
     for name in names:
+        # the index in the name pairs the file with its terminal
+        m = _TRAJECTORY_NAME.fullmatch(str(name))
+        if m is None or int(m.group(1)) >= n:
+            raise FormatError(
+                f"{name!r} is listed in summary.json but is not "
+                f"trajectory_<i>.csv with 0 <= i < {n}"
+            )
+        rows.append(int(m.group(1)))
         data = np.loadtxt(
             _listed_file(run_dir, name), delimiter=",", skiprows=1, ndmin=2
         )
@@ -239,7 +252,6 @@ def _load_trajectories(run_dir: str, doc: dict, terminals: np.ndarray):
             raise FormatError(f"{name}: t column differs from {names[0]}'s")
         states.append(data[:, 1 : d + 1])
         weighted.append(data[:, d + 1 : 2 * d + 1])
-        rows.append(int(name.rsplit("_", 1)[1].split(".")[0]))
     return times, np.stack(states), np.stack(weighted), terminals[rows]
 
 
@@ -372,9 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--samples", type=int, help="override [run] samples")
     pe.add_argument("--seed", type=int, help="override [run] seed")
     pe.add_argument("--out", help="override [run] out")
-    pe.add_argument(
-        "--control", choices=["uhis", "legendre", "oracle"], help="override [run] control"
-    )
+    # no argparse choices: resolve() checks the name, so a bad one is a ConfigError
+    pe.add_argument("--control", help=f"override [run] control: {', '.join(_CONTROLS)}")
     pe.add_argument("--threads", type=int, help="worker threads")
     pe.set_defaults(fn=_cmd_sample_energy)
 

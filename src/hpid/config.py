@@ -58,11 +58,10 @@ _RUN_KEYS = {
 _SCHEMA = {"target": _TARGET_KEYS, "potential": _POTENTIAL_KEYS, "run": _RUN_KEYS}
 
 _ENERGIES = ("gaussian", "double-well", "gaussian-mixture")
-_CONTROLS = ("uhis", "legendre", "oracle")
+_CONTROLS = ("uhis", "oracle")
 # manifest name -> internal sampler mode
 _CONTROL_MODES = {
     "uhis": "uhis",
-    "legendre": "legendre",
     "oracle": "quadrature-oracle",
     "empirical": "empirical",
 }

@@ -14,7 +14,7 @@ Evaluator classes at the bottom adapt each to the integrator protocol:
 ``noise_shape(dim)`` declares the standard normals a call needs (None for
 deterministic evaluators), which the caller always passes as xi, and
 ``__call__(t, x, xi=None)`` returns a ControlOutput. All evaluators accept
-x with leading batch axes; all but Legendre take scalar or matrix beta.
+x with leading batch axes; all three estimators take scalar or matrix beta.
 """
 
 from dataclasses import dataclass, field
@@ -28,14 +28,13 @@ from .errors import (
 )
 from .kernels import (
     Potential,
-    ScalarBeta,
     _as_points,
     _ret,
     _validate_t,
     drift_prefactors,
     log_kernel_ratio,
 )
-from .stationary import ProbeGaussian, legendre_control, universal_probe
+from .stationary import ProbeGaussian, universal_probe
 
 
 @dataclass(frozen=True)
@@ -334,26 +333,6 @@ class EmpiricalControlEvaluator:
 
     def __call__(self, t, x, xi=None) -> ControlOutput:
         return empirical_control(self.params, self.target, t, x)
-
-
-class LegendreControlEvaluator:
-    """Deterministic drift from the rescaled non-universal point."""
-
-    def __init__(self, params: ScalarBeta, energy, max_iter: int = 50):
-        self.params = params
-        self.energy = energy
-        self.max_iter = max_iter
-
-    def noise_shape(self, dim: int):
-        return None
-
-    def __call__(self, t, x, xi=None) -> ControlOutput:
-        u = legendre_control(self.params, t, x, self.energy, max_iter=self.max_iter)
-        c1, c2 = drift_prefactors(self.params, t)
-        x = np.asarray(x, dtype=float)
-        return ControlOutput(
-            drift=u, weighted_state=u / c1 + c2 * x, ess=1.0, max_weight=1.0
-        )
 
 
 class QuadratureControlEvaluator:

@@ -33,7 +33,6 @@ import numpy as np
 from .control import (
     EmpiricalControlEvaluator,
     EmpiricalTarget,
-    LegendreControlEvaluator,
     QuadratureControlEvaluator,
     QuadratureGrid,
     UhisConfig,
@@ -44,7 +43,7 @@ from .kernels import ScalarBeta, decompose, log_g_plus
 from .sde import SdeConfig, integrate_batch
 from .targets import Energy, load_dataset, save_dataset
 
-_ENERGY_MODES = ("uhis", "legendre", "quadrature-oracle")
+_ENERGY_MODES = ("uhis", "quadrature-oracle")
 _CHUNK_ELEMENTS = 4_000_000  # per-step working-set budget (doubles)
 
 
@@ -168,12 +167,6 @@ def _validate_and_build(cfg: RunConfig):
         desc = {"kind": "energy", **_describe_energy(cfg.energy)}
 
     params = _resolve_beta(cfg.beta, dim)
-    if mode == "legendre" and np.ndim(cfg.beta) > 0:
-        # the Newton solve for y_diamond works with one scalar curvature
-        raise ConfigError(
-            "matrix/diagonal beta is not supported with control_mode 'legendre'; "
-            "use 'uhis', 'empirical' or 'quadrature-oracle'"
-        )
 
     if mode == "uhis":
         uhis = cfg.uhis if cfg.uhis is not None else UhisConfig(n_is=1000)
@@ -181,8 +174,6 @@ def _validate_and_build(cfg: RunConfig):
             # probe degenerates inside the first step; widen exactly there
             uhis = dataclasses.replace(uhis, t_min=cfg.sde.dt)
         evaluator = UhisControlEvaluator(params, cfg.energy, uhis)
-    elif mode == "legendre":
-        evaluator = LegendreControlEvaluator(params, cfg.energy)
     elif mode == "quadrature-oracle":
         evaluator = QuadratureControlEvaluator(params, cfg.energy, cfg.quadrature)
     else:
@@ -196,8 +187,8 @@ def _chunk_size(mode: str, cfg: RunConfig, dim: int, n_rows: int = 1) -> int:
     if mode == "uhis":
         n_is = cfg.uhis.n_is if cfg.uhis is not None else 1000
         return max(1, _CHUNK_ELEMENTS // max(1, n_is * dim))
-    if mode == "quadrature-oracle" or mode == "legendre":
-        return 256  # per-row solves; small chunks keep failures early
+    if mode == "quadrature-oracle":
+        return 256  # per-row grid integrals; small chunks keep failures early
     return max(1, _CHUNK_ELEMENTS // n_rows)  # (B, S) kernel log-ratios
 
 

@@ -1,16 +1,9 @@
-"""Stationary points of the bridge log-density in the target variable.
+"""The universal stationary point of the bridge log-density in the target
+variable.
 
-Two constructions, both functions of (t, x):
-
-* the universal point y*, energy independent, with an x-independent
-  curvature h(t, lambda) per eigen-axis — together they define the Gaussian
-  probe used for importance sampling of the optimal drift;
-* the non-universal point y_diamond, which folds the target energy into
-  the optimality condition and is solved by damped Newton warm-started
-  at y*. Its rescaling gives a deterministic drift approximation.
-
-For multimodal energies the Newton solve returns the local solution
-reached from y*, a local approximation of the global supremum.
+The point y*, a function of (t, x) that does not depend on the energy,
+and its x-independent curvature h(t, lambda) per eigen-axis define the
+Gaussian probe used for importance sampling of the optimal drift.
 """
 
 import math
@@ -18,21 +11,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProbeGaussianError, DomainError, InputError
+from .errors import DegenerateProbeGaussianError, DomainError
 from .kernels import (
     _LOG_2PI,
     BETA_ZERO_TOL,
     Potential,
-    ScalarBeta,
     _as_points,
     _axes_sum,
     _h_probe,
     _log_sinh,
     _ret,
-    _scalar_beta,
     _validate_t,
     _wsum,
-    drift_prefactors,
 )
 
 DEGENERATE_DENOM_TOL = 1e-12
@@ -122,152 +112,3 @@ def universal_probe(params: Potential, t: float, x) -> ProbeGaussian:
     mean = params.from_eigenbasis(params.to_eigenbasis(x) / denom)
     precision = _ret(_h_probe(params.eigvals, t))
     return ProbeGaussian(mean=mean, precision=precision, t=float(t), params=params)
-
-
-@dataclass(frozen=True)
-class NonuniversalResult:
-    y: np.ndarray  # stationary point, (d,)
-    hessian_diag: np.ndarray  # scaled curvature diag at y, (d,)
-    converged: bool
-    iterations: int
-
-
-def _dense_hessian(energy, y):
-    """Full Hessian of the energy if obtainable, else None."""
-    hess_fn = getattr(energy, "hessian", None)
-    if callable(hess_fn):
-        try:
-            m = hess_fn(y)
-        except NotImplementedError:
-            m = None
-        if m is not None:
-            return np.asarray(m, dtype=float)
-    hvp_fn = getattr(energy, "hvp", None)
-    if callable(hvp_fn) and y.shape[-1] <= 256:
-        try:
-            cols = [
-                np.asarray(hvp_fn(y, e), dtype=float) for e in np.eye(y.shape[-1])
-            ]
-        except NotImplementedError:
-            return None
-        return np.stack(cols, axis=1)
-    return None
-
-
-def _hessian_diag(energy, y):
-    """Diagonal of the energy Hessian at y, by the cheapest available route."""
-    m = _dense_hessian(energy, y)
-    if m is not None:
-        return np.diagonal(m).copy()
-    d = y.shape[-1]
-    out = np.empty(d)
-    for i in range(d):
-        eps = 1e-5 * (1.0 + abs(float(y[i])))
-        e = np.zeros(d)
-        e[i] = eps
-        gp = np.asarray(energy.gradient(y + e), dtype=float)
-        gm = np.asarray(energy.gradient(y - e), dtype=float)
-        out[i] = (gp[i] - gm[i]) / (2.0 * eps)
-    return out
-
-
-def nonuniversal_point(
-    params: ScalarBeta,
-    t: float,
-    x,
-    energy,
-    max_iter: int = 50,
-    tol: float = 1e-8,
-) -> NonuniversalResult:
-    """Energy-dependent stationary point y_diamond at (t, x).
-
-    Solves grad E(y) + h(t) y = c1(t) x by damped Newton (gradient descent
-    when the energy exposes no curvature), warm-started at the universal
-    y*. Convergence: the residual mapped back to x units is within
-    tol * (1 + |x|). Non-convergence returns the best iterate with
-    converged=False; callers decide whether to fall back.
-
-    Defined down to t = 0 (the integrator's first drift instant), where
-    h = 0, the universal warm start is unavailable, and x seeds the solve.
-    """
-    _validate_t(t, 0.0, 1.0, True, False)
-    x = _as_points(params, "x", x)
-    if x.ndim != 1:
-        raise InputError(f"x must be a single point, got shape {x.shape}")
-    c1, c2 = drift_prefactors(params, t)
-    h = float(_h_probe(np.asarray(_scalar_beta(params)), t))
-    d = x.shape[0]
-
-    if t == 0.0:
-        y = np.array(x, dtype=float)
-    else:
-        try:
-            y = np.array(universal_probe(params, t, x).mean, dtype=float)
-        except DegenerateProbeGaussianError:
-            y = np.array(x, dtype=float)
-
-    # convex merit: E(y) + (h/2)|y|^2 - c1 x.y, gradient = residual
-    def merit(v):
-        return float(energy.value(v)) + 0.5 * h * float(v @ v) - c1 * float(x @ v)
-
-    scale = tol * (1.0 + math.sqrt(float(x @ x)))
-    grad = np.asarray(energy.gradient(y), dtype=float)
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        r = grad + h * y - c1 * x
-        if np.linalg.norm(r) <= c1 * scale:
-            converged = True
-            break
-        step = None
-        hess = _dense_hessian(energy, y)
-        if hess is not None:
-            try:
-                step = np.linalg.solve(hess + h * np.eye(d), -r)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and float(step @ r) >= 0.0:
-                step = None  # not a descent direction; curvature indefinite
-        if step is None:
-            step = -r / max(h, 1.0)
-        slope = float(step @ r)
-        f0 = merit(y)
-        alpha = 1.0
-        for _ in range(30):
-            y_new = y + alpha * step
-            if merit(y_new) <= f0 + 1e-4 * alpha * slope:
-                break
-            alpha *= 0.5
-        else:
-            break  # no decrease found along step; keep best iterate
-        iterations += 1
-        y = y_new
-        grad = np.asarray(energy.gradient(y), dtype=float)
-    if not converged:
-        r = grad + h * y - c1 * x
-        converged = bool(np.linalg.norm(r) <= c1 * scale)
-
-    hdiag = (_hessian_diag(energy, y) + h) / c1
-    return NonuniversalResult(
-        y=y, hessian_diag=hdiag, converged=converged, iterations=iterations
-    )
-
-
-def legendre_control(params: ScalarBeta, t: float, x, energy, max_iter: int = 50):
-    """Deterministic drift from the rescaled non-universal point.
-
-    u(t; x) = c1 (y_diamond - c2 x). Constant energy reduces y_diamond to
-    y*, recovering the pure universal drift. Accepts x of shape (d,) or
-    (batch, d); the Newton solve runs per point.
-    """
-    x = _as_points(params, "x", x)
-    c1, c2 = drift_prefactors(params, t)
-    if x.ndim == 1:
-        res = nonuniversal_point(params, t, x, energy, max_iter=max_iter)
-        return c1 * (res.y - c2 * x)
-    flat = x.reshape(-1, x.shape[-1])
-    out = np.empty_like(flat)
-    for i, row in enumerate(flat):
-        res = nonuniversal_point(params, t, row, energy, max_iter=max_iter)
-        out[i] = c1 * (res.y - c2 * row)
-    return out.reshape(x.shape)

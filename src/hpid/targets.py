@@ -8,8 +8,7 @@ the self-normalized weights. For the Gaussian mixture the convention is
 
 so its partition function is Z = (sum_k w_k) (2 pi sigma2)^(d/2).
 
-All energies evaluate batched: value maps (..., d) -> (...,), gradient
-maps (..., d) -> (..., d); hessian and hvp take a single point. They are
+All energies evaluate batched: value maps (..., d) -> (...,). They are
 immutable after construction and safe for concurrent evaluation.
 """
 
@@ -30,7 +29,8 @@ _HEADER = struct.Struct("<4sIQQ")  # magic, version, count, dim
 class Energy:
     """Target energy interface: exp(-E) is the unnormalized density.
 
-    Energies whose algebra factorizes over an affine panel may implement
+    An energy needs only value. Energies whose algebra factorizes over an
+    affine panel may also implement
 
         panel_logw(means, scale, panel) -> (B, N)
 
@@ -44,15 +44,6 @@ class Energy:
 
     def value(self, y):
         raise NotImplementedError
-
-    def gradient(self, y):
-        raise NotImplementedError
-
-    def hessian(self, y):
-        raise NotImplementedError
-
-    def hvp(self, y, v):
-        return np.asarray(self.hessian(y), dtype=float) @ np.asarray(v, dtype=float)
 
 
 class GaussianEnergy(Energy):
@@ -70,12 +61,6 @@ class GaussianEnergy(Energy):
     def value(self, y):
         diff = np.asarray(y, dtype=float) - self.mean
         return np.einsum("...i,...i->...", diff, diff) / (2.0 * self.sigma2)
-
-    def gradient(self, y):
-        return (np.asarray(y, dtype=float) - self.mean) / self.sigma2
-
-    def hessian(self, y):
-        return np.eye(self.dim) / self.sigma2
 
     def panel_logw(self, means, scale, panel):
         # -E(m + s xi) = const(m) - (2 s (m - mu).xi + s^2 |xi|^2) / (2 sigma2)
@@ -100,14 +85,6 @@ class DoubleWellEnergy(Energy):
     def value(self, y):
         y = np.asarray(y, dtype=float)
         return self.stiffness * ((y * y - 1.0) ** 2).sum(axis=-1)
-
-    def gradient(self, y):
-        y = np.asarray(y, dtype=float)
-        return 4.0 * self.stiffness * y * (y * y - 1.0)
-
-    def hessian(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.diag(self.stiffness * (12.0 * y * y - 4.0))
 
 
 @dataclass(frozen=True)
@@ -162,23 +139,6 @@ class GaussianMixtureEnergy(Energy):
     def value(self, y):
         return -logsumexp(self._log_resp(y), axis=-1)
 
-    def responsibilities(self, y):
-        a = self._log_resp(y)
-        return np.exp(a - logsumexp(a, axis=-1, keepdims=True))
-
-    def gradient(self, y):
-        y = np.asarray(y, dtype=float)
-        pull = self.responsibilities(y) @ self.centers
-        return (y - pull) / self.sigma2
-
-    def hessian(self, y):
-        pi = self.responsibilities(y)
-        mu_bar = pi @ self.centers
-        cov = np.einsum("m,mi,mj->ij", pi, self.centers, self.centers) - np.outer(
-            mu_bar, mu_bar
-        )
-        return np.eye(self.dim) / self.sigma2 - cov / self.sigma2**2
-
     def panel_logw(self, means, scale, panel):
         # -E(y) = -|y|^2/(2 s2) + logsumexp_j[log w_j + (y.c_j - |c_j|^2/2)/s2];
         # with y = m_i + s xi_n the j-sum splits into a rank-M product, so the
@@ -215,15 +175,6 @@ class OffsetEnergy(Energy):
 
     def value(self, y):
         return np.asarray(self.base.value(y), dtype=float) + self.offset
-
-    def gradient(self, y):
-        return self.base.gradient(y)
-
-    def hessian(self, y):
-        return self.base.hessian(y)
-
-    def hvp(self, y, v):
-        return self.base.hvp(y, v)
 
 
 def grid_mixture(

@@ -24,10 +24,8 @@ PUBLIC = [
     "HpidError",
     "InputError",
     "IntegrationError",
-    "LegendreControlEvaluator",
     "MatrixBeta",
     "ModeHistogram",
-    "NonuniversalResult",
     "OffsetEnergy",
     "ProbeGaussian",
     "QuadratureControlEvaluator",
@@ -47,7 +45,6 @@ PUBLIC = [
     "grid_mixture",
     "integrate_batch",
     "kernel_coeffs",
-    "legendre_control",
     "load_dataset",
     "log_g_minus",
     "log_g_plus",
@@ -55,7 +52,6 @@ PUBLIC = [
     "make_energy",
     "mixture_partition_oracle",
     "mode_assignment",
-    "nonuniversal_point",
     "quadrature_control",
     "run",
     "save_dataset",
@@ -67,7 +63,7 @@ PUBLIC = [
 
 
 def test_public_api_is_pinned():
-    assert len(hpid.__all__) == 57
+    assert len(hpid.__all__) == 53
     assert hpid.__all__ == PUBLIC
     missing = [name for name in PUBLIC if not hasattr(hpid, name)]
     assert missing == []

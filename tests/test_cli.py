@@ -135,6 +135,29 @@ def test_bad_manifest_key_is_exit_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["manifest", "flag", "summary"])
+def test_retired_control_is_exit_2(tmp_path, capsys, source):
+    # legendre was a fourth drift mode; a manifest, flag or stored
+    # summary.json that still names it is refused, not silently remapped
+    argv = ["sample-energy", "--out", str(tmp_path / "o")]
+    if source == "manifest":
+        argv += ["--config", _write(tmp_path, "m.ini", GAUSS_INI + "control = legendre\n")]
+    elif source == "flag":
+        argv += ["--config", _write(tmp_path, "m.ini", GAUSS_INI), "--control", "legendre"]
+    else:
+        echoed = {
+            "target": {"kind": "energy", "energy": "gaussian", "dim": "1", "sigma2": "0.7"},
+            "potential": {"beta": "0.0"},
+            "run": {"samples": "32", "steps": "12", "seed": "0", "control": "legendre"},
+        }
+        doc = {"status": "complete", "cli_config": echoed}
+        argv += ["--config", _write(tmp_path, "summary.json", json.dumps(doc))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "control must be one of ['uhis', 'oracle'], got 'legendre'" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_numerical_failure_is_exit_3(tmp_path, capsys):
     # quadrature window far narrower than the target's support
     ini = GAUSS_INI + "control = oracle\nquad_lo = -0.5\nquad_hi = 0.5\nquad_n = 81\n"
@@ -228,6 +251,22 @@ def test_diagnose_missing_listed_file_is_exit_2(tmp_path, capsys, name):
     assert main(["diagnose", "--run", str(out), "--bootstrap", "0"]) == 2
     err = capsys.readouterr().err
     assert name in err and "missing" in err
+
+
+@pytest.mark.parametrize(
+    "name", ["trajectory_3.csv", "trajectory_99.csv", "trajectory_-1.csv", "trajectory.csv"]
+)
+def test_diagnose_rejects_unindexed_trajectory_names(tmp_path, capsys, name):
+    # the index in a listed name picks the terminal the file pairs with,
+    # so it must be a sample of the run (3 here)
+    out = _recorded_run(tmp_path, capsys)
+    (out / name).write_bytes((out / "trajectory_0.csv").read_bytes())
+    doc = json.loads((out / "summary.json").read_text())
+    doc["trajectories"].append(name)
+    (out / "summary.json").write_text(json.dumps(doc))
+    assert main(["diagnose", "--run", str(out), "--bootstrap", "0"]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "0 <= i < 3" in err
 
 
 def test_diagnose_rejects_differing_time_columns(tmp_path, capsys):

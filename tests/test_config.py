@@ -183,13 +183,20 @@ def test_build_variants():
         {
             "target": {"kind": "energy", "energy": "double-well", "dim": "3", "stiffness": "2.5"},
             "potential": {"beta": "0.3, 0.7, 1.1"},
-            "run": {"samples": "4", "steps": "6", "control": "legendre"},
+            "run": {"samples": "4", "steps": "6", "control": "uhis"},
         }
     )
     cfg = build_run_config(r)
     assert isinstance(cfg.energy, DoubleWellEnergy)
-    assert cfg.control_mode == "legendre"
+    assert cfg.control_mode == "uhis"
     np.testing.assert_array_equal(cfg.beta, [0.3, 0.7, 1.1])
+    with pytest.raises(ConfigError, match=r"\['uhis', 'oracle'\], got 'legendre'"):
+        resolve(
+            {
+                "target": {"kind": "energy", "energy": "double-well", "dim": "3"},
+                "run": {"samples": "4", "steps": "6", "control": "legendre"},
+            }
+        )
 
     r = resolve(
         {

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from hpid.control import (
@@ -16,7 +17,6 @@ from hpid.control import (
     EmpiricalControlEvaluator,
     EmpiricalTarget,
     FunctionControlEvaluator,
-    LegendreControlEvaluator,
     QuadratureControlEvaluator,
     QuadratureGrid,
     UhisConfig,
@@ -219,15 +219,27 @@ def test_uhis_evaluator_declares_reuse_and_noise_shape():
         ev(0.4, np.array([[0.1, 0.2], [0.5, -0.3]]))
 
 
-def test_uhis_general_matches_scalar_for_isotropic_matrix():
-    beta = 0.8
-    scalar = ScalarBeta(beta=beta, dim=2)
-    matrix = decompose(beta * np.eye(2))
-    cfg = UhisConfig(n_is=512)
+@given(
+    kind=st.sampled_from(["uhis", "empirical", "quadrature"]),
+    beta=st.floats(0.0, 3.0),
+    t=st.floats(0.05, 0.95),
+    x=hnp.arrays(float, (3, 2), elements=st.floats(-2.0, 2.0)),
+)
+@settings(max_examples=30, deadline=None)
+def test_uhis_general_matches_scalar_for_isotropic_matrix(kind, beta, t, x):
+    # an isotropic matrix beta is the scalar case, for every estimator
+    def evaluator(params):
+        if kind == "uhis":
+            return UhisControlEvaluator(params, _mixture2(), UhisConfig(n_is=512))
+        if kind == "empirical":
+            rows = np.random.default_rng(19).normal(size=(7, 2))
+            return EmpiricalControlEvaluator(params, EmpiricalTarget(rows))
+        grid = QuadratureGrid(lo=-10.0, hi=10.0, n=201)
+        return QuadratureControlEvaluator(params, _mixture2(), grid)
+
     xi = normals_from(np.random.default_rng(17), (3, 512, 2))
-    x = np.random.default_rng(18).normal(size=(3, 2))
-    a = uhis_control(scalar, cfg, 0.45, x, _mixture2(), xi=np.array(xi))
-    b = uhis_control(matrix, cfg, 0.45, x, _mixture2(), xi=np.array(xi))
+    a = evaluator(ScalarBeta(beta=beta, dim=2))(t, x, xi=xi)
+    b = evaluator(decompose(beta * np.eye(2)))(t, x, xi=xi)
     assert_allclose(b.drift, a.drift, rtol=1e-10, atol=1e-12)
     assert_allclose(b.ess, a.ess, rtol=1e-10)
 
@@ -275,7 +287,7 @@ def test_quadrature_two_dimensional_matches_product_structure():
     energy2 = GaussianEnergy(dim=2, sigma2=0.7)
     energy1 = GaussianEnergy(dim=1, sigma2=0.7)
     x = np.array([0.9, -0.4])
-    grid = QuadratureGrid(lo=-10.0, hi=10.0, n=401)
+    grid = QuadratureGrid(lo=-10.0, hi=10.0, n=201)
     u2 = quadrature_control(params2, 0.35, x, energy2, grid=grid)
     for i in range(2):
         u1 = quadrature_control(params1, 0.35, x[i : i + 1], energy1, grid=grid)
@@ -307,17 +319,6 @@ def test_control_output_low_ess_flag():
     assert out.low_ess
     out = ControlOutput(drift=np.zeros(1), weighted_state=None, ess=8.0, max_weight=0.2)
     assert not out.low_ess
-
-
-def test_legendre_evaluator_reports_exact_state():
-    params = ScalarBeta(beta=0.8, dim=1)
-    ev = LegendreControlEvaluator(params, GaussianEnergy(dim=1, sigma2=0.6))
-    assert ev.noise_shape(1) is None
-    out = ev(0.45, np.array([0.7]))
-    assert out.ess == 1.0 and out.max_weight == 1.0
-    assert_allclose(out.drift, [-0.4746575105970458252816], rtol=1e-9)
-    c1, c2 = drift_prefactors(params, 0.45)
-    assert_allclose(out.drift, c1 * (out.weighted_state - c2 * 0.7), rtol=1e-12)
 
 
 def test_quadrature_evaluator_batches_rows():

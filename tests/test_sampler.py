@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import hpid.sampler as sampler_mod
@@ -59,8 +62,8 @@ def test_validation_rules():
         run(_gauss_cfg(n_samples=0))
     with pytest.raises(ConfigError, match="dim"):
         run(_gauss_cfg(beta=np.array([0.5, 0.5, 0.5])))
-    with pytest.raises(ConfigError, match="uhis"):
-        run(_gauss_cfg(beta=np.array([0.5, 0.5]), control_mode="legendre"))
+    with pytest.raises(ConfigError, match="'uhis', 'quadrature-oracle'"):
+        run(_gauss_cfg(control_mode="legendre"))
 
 
 def test_energy_run_estimates_partition():
@@ -91,26 +94,68 @@ def test_runs_are_reproducible_bitwise():
     assert a.config_hash == b.config_hash
 
 
-def test_prefix_of_larger_run_is_identical():
-    # trajectory i depends only on its own index, so growing the
-    # population extends the sample set without disturbing it
-    small = run(_gauss_cfg(n_samples=4, uhis=UhisConfig(n_is=64)))
-    large = run(_gauss_cfg(n_samples=8, uhis=UhisConfig(n_is=64)))
-    assert np.array_equal(large.terminals[:4], small.terminals)
+_ENERGIES = {"mixture": grid_mixture(), "gaussian": GaussianEnergy(dim=2, sigma2=1.0)}
 
 
-def test_thread_count_does_not_change_outputs():
-    cfg1 = _gauss_cfg(n_samples=600, uhis=UhisConfig(n_is=4000, reuse_probe_noise=True))
-    cfg3 = _gauss_cfg(
-        n_samples=600,
-        uhis=UhisConfig(n_is=4000, reuse_probe_noise=True),
-        threads=3,
+def _property_cfg(kind, n_samples, threads, energy="mixture"):
+    """A short run: uhis with per-trajectory ("uhis") or shared
+    ("uhis-shared") probe noise on an energy of _ENERGIES, or empirical."""
+    if kind == "empirical":
+        return _dataset_cfg(
+            n_samples=n_samples, sde=SdeConfig(n_steps=6, seed=3), threads=threads
+        )
+    uhis = UhisConfig(n_is=16, reuse_probe_noise=kind == "uhis-shared")
+    return _gauss_cfg(
+        n_samples=n_samples,
+        sde=SdeConfig(n_steps=6, seed=7),
+        energy=_ENERGIES[energy],
+        uhis=uhis,
+        threads=threads,
     )
-    a = run(cfg1)
-    b = run(cfg3)
-    # chunking splits 600 trajectories into several batches here
-    assert len(range(0, 600, sampler_mod._chunk_size("uhis", cfg1, 2))) > 1
+
+
+def _run_in_chunks(cfg, chunk):
+    """run(cfg) with the working-set budget set to `chunk` trajectories."""
+    n_rows = 3  # the dataset size S of _dataset_cfg
+    per_trajectory = cfg.uhis.n_is * 2 if cfg.control_mode == "uhis" else n_rows
+    with mock.patch.object(sampler_mod, "_CHUNK_ELEMENTS", chunk * per_trajectory):
+        assert sampler_mod._chunk_size(cfg.control_mode, cfg, 2, n_rows) == chunk
+        return run(cfg)
+
+
+@given(
+    kind=st.sampled_from(["uhis", "empirical"]),
+    energy=st.sampled_from(sorted(_ENERGIES)),
+    n=st.integers(1, 8),
+    extra=st.integers(1, 8),
+    chunks=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+    threads=st.integers(1, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_prefix_of_larger_run_is_identical(kind, energy, n, extra, chunks, threads):
+    # trajectory i depends only on its own index, so growing the
+    # population extends the sample set without disturbing it, whatever
+    # the chunking and the thread count of either run
+    small = _run_in_chunks(_property_cfg(kind, n, 1, energy), chunks[0])
+    large = _run_in_chunks(_property_cfg(kind, n + extra, threads, energy), chunks[1])
+    assert np.array_equal(large.terminals[:n], small.terminals)
+    assert np.array_equal(large.ess_min[:n], small.ess_min)
+
+
+@given(
+    kind=st.sampled_from(["uhis", "uhis-shared", "empirical"]),
+    energy=st.sampled_from(sorted(_ENERGIES)),
+    n=st.integers(1, 12),
+    chunk=st.integers(1, 12),
+    threads=st.integers(1, 3),
+)
+@example(kind="uhis-shared", energy="gaussian", n=12, chunk=5, threads=3)
+@settings(max_examples=40, deadline=None)
+def test_thread_count_does_not_change_outputs(kind, energy, n, chunk, threads):
+    a = _run_in_chunks(_property_cfg(kind, n, 1, energy), chunk)
+    b = _run_in_chunks(_property_cfg(kind, n, threads, energy), chunk)
     assert np.array_equal(a.terminals, b.terminals)
+    assert np.array_equal(a.ess_min, b.ess_min)
     assert a.z_estimate == b.z_estimate
 
 
@@ -137,19 +182,6 @@ def test_quadrature_oracle_mode():
     s = run(cfg)
     assert s.terminals.shape == (8, 1)
     assert s.z_estimate > 0
-
-
-def test_legendre_mode():
-    cfg = RunConfig(
-        n_samples=8,
-        sde=SdeConfig(n_steps=10, seed=5),
-        beta=0.3,
-        energy=GaussianEnergy(dim=2, sigma2=0.8),
-        control_mode="legendre",
-    )
-    s = run(cfg)
-    assert s.terminals.shape == (8, 2)
-    assert np.isfinite(s.terminals).all()
 
 
 def test_output_directory_contents(tmp_path):

@@ -1,4 +1,4 @@
-"""Probe construction and stationary-point solves.
+"""Probe construction at the universal stationary point.
 
 Frozen literals come from tools/make_oracles.py (mpmath, 50 digits).
 """
@@ -10,32 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hpid.errors import DegenerateProbeGaussianError, InputError
-from hpid.kernels import (
-    ScalarBeta,
-    _h_probe,
-    decompose,
-    drift_prefactors,
-    kernel_coeffs,
-)
-from hpid.stationary import (
-    legendre_control,
-    nonuniversal_point,
-    universal_probe,
-)
-from hpid.targets import DoubleWellEnergy, GaussianEnergy
-
-
-class ConstantEnergy:
-    def value(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.full(y.shape[:-1], 3.0)
-
-    def gradient(self, y):
-        return np.zeros_like(np.asarray(y, dtype=float))
-
-    def hessian(self, y):
-        d = np.asarray(y, dtype=float).shape[-1]
-        return np.zeros((d, d))
+from hpid.kernels import ScalarBeta, _h_probe, decompose, kernel_coeffs
+from hpid.stationary import universal_probe
 
 
 def test_probe_frozen_values():
@@ -109,94 +85,8 @@ def test_general_probe_matches_scalar_when_isotropic():
     assert_allclose(general.precision, np.full(3, scalar.precision), rtol=1e-12)
 
 
-def test_constant_energy_reduces_to_universal_mean():
-    params = ScalarBeta(beta=0.7, dim=1)
-    x = np.array([0.9])
-    res = nonuniversal_point(params, 0.6, x, ConstantEnergy())
-    assert res.converged
-    probe = universal_probe(params, 0.6, x)
-    assert_allclose(res.y, probe.mean, rtol=1e-10)
-
-
-def test_gaussian_energy_closed_form():
-    # quadratic merit: (1/s2 + h) y = mu/s2 + c1 x
-    params = ScalarBeta(beta=1.2, dim=2)
-    energy = GaussianEnergy(dim=2, sigma2=0.7, mean=np.array([0.3, -0.6]))
-    t, x = 0.45, np.array([1.1, 0.2])
-    res = nonuniversal_point(params, t, x, energy)
-    assert res.converged
-    c1, _ = drift_prefactors(params, t)
-    h = float(_h_probe(params.beta, t))
-    want = (energy.mean / 0.7 + c1 * x) / (1.0 / 0.7 + h)
-    assert_allclose(res.y, want, rtol=1e-10)
-
-
-def test_double_well_frozen_point():
-    params = ScalarBeta(beta=0.7, dim=1)
-    res = nonuniversal_point(params, 0.6, np.array([0.9]), DoubleWellEnergy(dim=1))
-    assert res.converged
-    assert_allclose(res.y, [1.080932629043970429331], rtol=1e-10)
-    h = 1.369520884858842137568
-    c1 = 2.453935991601009180986
-    curv = float(np.diagonal(DoubleWellEnergy(dim=1).hessian(res.y))[0])
-    assert_allclose(res.hessian_diag, [(curv + h) / c1], rtol=1e-9)
-
-
-def test_double_well_point_beats_dense_grid():
-    # the Newton solution must sit at the global merit minimum
-    params = ScalarBeta(beta=0.7, dim=1)
-    energy = DoubleWellEnergy(dim=1)
-    t, x = 0.6, np.array([0.9])
-    res = nonuniversal_point(params, t, x, energy)
-    c1, _ = drift_prefactors(params, t)
-    h = float(_h_probe(params.beta, t))
-    grid = np.linspace(-5.0, 5.0, 100_001)[:, None]
-    merit = energy.value(grid) + 0.5 * h * grid[:, 0] ** 2 - c1 * x[0] * grid[:, 0]
-    best = grid[np.argmin(merit), 0]
-    assert abs(best - res.y[0]) < 1e-4  # grid spacing
-
-
-def test_stationary_point_at_t_zero():
-    # probe is degenerate at t=0; the solver must still run from the
-    # pinned start
-    params = ScalarBeta(beta=1.0, dim=1)
-    res = nonuniversal_point(params, 0.0, np.array([0.4]), DoubleWellEnergy(dim=1))
-    assert res.converged
-    assert np.isfinite(res.y).all()
-
-
-def test_legendre_control_gaussian_frozen():
-    params = ScalarBeta(beta=0.8, dim=1)
-    energy = GaussianEnergy(dim=1, sigma2=0.6)
-    u = legendre_control(params, 0.45, np.array([0.7]), energy)
-    assert_allclose(u, [-0.4746575105970458252816], rtol=1e-9)
-
-
-def test_legendre_control_constant_energy_recomposition():
-    params = ScalarBeta(beta=1.5, dim=2)
-    x = np.array([0.2, -0.8])
-    t = 0.3
-    u = legendre_control(params, t, x, ConstantEnergy())
-    c1, c2 = drift_prefactors(params, t)
-    probe = universal_probe(params, t, x)
-    assert_allclose(u, c1 * (probe.mean - c2 * x), rtol=1e-9, atol=1e-12)
-
-
 def test_scalar_only_routines_reject_matrix_beta():
-    # the Newton solve and the coefficient record take one scalar curvature
+    # the coefficient record takes one scalar curvature
     matrix = decompose(np.diag([0.5, 0.5]))
-    energy = GaussianEnergy(dim=2)
-    calls = (
-        lambda: kernel_coeffs(matrix, 0.5),
-        lambda: nonuniversal_point(matrix, 0.5, np.zeros(2), energy),
-        lambda: legendre_control(matrix, 0.5, np.zeros((3, 2)), energy),
-    )
-    for call in calls:
-        with pytest.raises(InputError, match="scalar beta"):
-            call()
-
-
-def test_nonuniversal_point_rejects_batched_x():
-    params = ScalarBeta(beta=0.5, dim=2)
-    with pytest.raises(InputError, match="single point"):
-        nonuniversal_point(params, 0.5, np.zeros((3, 2)), GaussianEnergy(dim=2))
+    with pytest.raises(InputError, match="scalar beta"):
+        kernel_coeffs(matrix, 0.5)

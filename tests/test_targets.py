@@ -20,34 +20,6 @@ from hpid.targets import (
 )
 
 
-def _fd_gradient(energy, y, eps=1e-6):
-    g = np.empty_like(y)
-    for i in range(y.size):
-        e = np.zeros_like(y)
-        e[i] = eps
-        g[i] = (energy.value(y + e) - energy.value(y - e)) / (2 * eps)
-    return g
-
-
-@pytest.mark.parametrize(
-    "energy",
-    [
-        GaussianEnergy(dim=3, sigma2=0.7, mean=np.array([0.2, -0.1, 1.0])),
-        DoubleWellEnergy(dim=3, stiffness=1.4),
-        GaussianMixtureEnergy(
-            centers=np.array([[1.0, 0.0, 0.0], [-1.0, 0.5, 0.2], [0.0, 0.0, -2.0]]),
-            sigma2=0.6,
-            weights=np.array([0.5, 0.2, 0.3]),
-        ),
-    ],
-)
-def test_gradient_matches_finite_differences(energy):
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        y = rng.normal(size=3)
-        assert_allclose(energy.gradient(y), _fd_gradient(energy, y), rtol=1e-5, atol=1e-7)
-
-
 def test_mixture_value_is_logsumexp_of_components():
     m = GaussianMixtureEnergy(
         centers=np.array([[2.0, 0.0], [-2.0, 1.0]]),
@@ -135,8 +107,6 @@ def test_offset_energy_shifts_value_only():
     off = OffsetEnergy(base, -3.5)
     y = np.array([0.7, -1.2])
     assert_allclose(off.value(y), base.value(y) - 3.5, rtol=1e-15)
-    assert np.array_equal(off.gradient(y), base.gradient(y))
-    assert np.array_equal(off.hessian(y), base.hessian(y))
     assert off.dim == 2
 
 

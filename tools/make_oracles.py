@@ -2,8 +2,8 @@
 
 Everything here is computed with mpmath at 50 significant digits, straight
 from the defining formulas (or from independent numerics: quadrature,
-argmax search, polynomial roots) — never by importing the package under
-test. Run `python tools/make_oracles.py` and paste the printed literals.
+argmax search) — never by importing the package under test. Run
+`python tools/make_oracles.py` and paste the printed literals.
 """
 
 import mpmath as mp
@@ -108,21 +108,6 @@ ystar = mp.findroot(lambda y: mp.diff(f, y), mp.mpf("1.5"))
 show("probe mean via argmax of the ratio (must match)", ystar)
 d2 = -mp.diff(f, ystar, 2)
 show("probe precision via -f''(y*) (must match)", d2)
-
-print("# non-universal stationary point, double-well -------------------")
-# E(y) = (y^2-1)^2, solve E'(y) + h*y = c1*x  ->  4y^3 + (h-4)y - c1*x = 0
-beta, t, x = mp.mpf("0.7"), mp.mpf("0.6"), mp.mpf("0.9")
-h, den = probe(beta, t)
-c1 = b_minus(beta, t)
-roots = mp.polyroots([4, 0, h - 4, -c1 * x])
-real = [r.real for r in roots if abs(r.imag) < mp.mpf("1e-40")]
-ystar_mean = x / den
-obj = lambda y: -((y * y - 1) ** 2) - h / 2 * (y - ystar_mean) ** 2
-best = max(real, key=obj)
-show("y_diamond(double-well, beta=0.7, t=0.6, x=0.9)", best)
-show("  (h at that point)", h)
-show("  (c1 at that point)", c1)
-show("  (y* warm start)", ystar_mean)
 
 print("# gaussian-target control closed form ---------------------------")
 # E(y) = |y|^2/(2 s2); u = (c1^2/(h + 1/s2) - c1*c2) * x ; checked by quadrature
