@@ -32,7 +32,7 @@ print(f"dataset: 6 rows in 20 dimensions, closest pair {min_pair:.1f} apart")
 
 params = ScalarBeta(1.0, 20)
 batch = integrate_batch(
-    SdeConfig(n_steps=200, seed=3, record_every=2, record_weighted_state=True),
+    SdeConfig(n_steps=200, seed=3, record_every=2),
     EmpiricalControlEvaluator(params, EmpiricalTarget(rows)),
     dim=20,
     n_trajectories=50,

@@ -75,7 +75,6 @@ from .targets import (
     OffsetEnergy,
     grid_mixture,
     load_dataset,
-    make_energy,
     mixture_partition_oracle,
     save_dataset,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "log_g_minus",
     "log_g_plus",
     "log_kernel_ratio",
-    "make_energy",
     "mixture_partition_oracle",
     "mode_assignment",
     "quadrature_control",

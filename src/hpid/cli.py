@@ -30,7 +30,6 @@ from .config import (
     _CONTROLS,
     build_run_config,
     config_sha,
-    config_text,
     load_config_file,
     resolve,
 )
@@ -162,7 +161,6 @@ def _cmd_sample_empirical(args) -> int:
     if args.record_weighted:
         # record every trajectory so overlap diagnostics can be computed
         raw["run"]["record"] = str(args.samples)
-        raw["run"]["record_weighted"] = "true"
     resolved = resolve(raw)
     return _run_manifest("sample-empirical", resolved, _threads(args.threads))
 
@@ -399,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument(
         "--record-weighted",
         action="store_true",
-        help="record every trajectory's state and weighted state",
+        help="record every trajectory's state, weighted state and ESS, for diagnose",
     )
     pd.add_argument("--threads", type=int, help="worker threads")
     pd.set_defaults(fn=_cmd_sample_empirical)

@@ -20,7 +20,7 @@ from .control import QuadratureGrid, UhisConfig
 from .errors import ConfigError
 from .sampler import RunConfig
 from .sde import SdeConfig
-from .targets import grid_mixture, make_energy
+from .targets import DoubleWellEnergy, GaussianEnergy, grid_mixture
 
 _SECTIONS = ("target", "potential", "run")
 
@@ -49,8 +49,6 @@ _RUN_KEYS = {
     "out": ("str", None),
     "record": ("int", "0"),
     "record_every": ("int", "1"),
-    "record_weighted": ("bool", "false"),
-    "early_exit": ("bool", "false"),
     "quad_lo": ("float", "-12.0"),
     "quad_hi": ("float", "12.0"),
     "quad_n": ("int", "1601"),
@@ -258,7 +256,7 @@ def resolve(raw: dict, overrides: dict | None = None) -> dict:
     o = get("run", "out")
     if o is not None:
         out["run"]["out"] = o
-    for key in ("record", "record_every", "record_weighted", "early_exit"):
+    for key in ("record", "record_every"):
         out["run"][key] = get("run", key)
 
     return {s: {k: _fmt(v) for k, v in sec.items()} for s, sec in out.items()}
@@ -286,15 +284,14 @@ def build_run_config(normalized: dict, threads: int = 1) -> RunConfig:
                 sigma2=val("target", "sigma2"),
             )
         elif name == "gaussian":
-            energy = make_energy(
-                name,
+            energy = GaussianEnergy(
                 val("target", "dim"),
                 sigma2=val("target", "sigma2"),
                 mean=val("target", "mean"),
             )
         else:
-            energy = make_energy(
-                name, val("target", "dim"), stiffness=val("target", "stiffness")
+            energy = DoubleWellEnergy(
+                val("target", "dim"), stiffness=val("target", "stiffness")
             )
 
     beta_list = val("potential", "beta", [0.0])
@@ -308,7 +305,6 @@ def build_run_config(normalized: dict, threads: int = 1) -> RunConfig:
         n_steps=steps,
         seed=val("run", "seed", 0),
         record_every=val("run", "record_every", 1),
-        record_weighted_state=val("run", "record_weighted", False),
     )
     uhis = None
     if mode == "uhis":
@@ -336,7 +332,6 @@ def build_run_config(normalized: dict, threads: int = 1) -> RunConfig:
         quadrature=quad,
         out_dir=val("run", "out"),
         threads=threads,
-        early_exit=val("run", "early_exit", False),
         n_record=record,
     )
 

@@ -39,12 +39,6 @@ def autocorrelation(times, states, weighted, terminals) -> AutocorrSeries:
     recorded rows of a BatchTrajectories, or the same arrays read back
     from a run's trajectory files.
     """
-    if states is None:
-        raise ConfigError("trajectories were integrated without recording")
-    if weighted is None:
-        raise ConfigError(
-            "weighted states were not recorded; set record_weighted_state"
-        )
     shapes = [np.shape(a) for a in (times, states, weighted, terminals)]
     b, r, d = shapes[1] if len(shapes[1]) == 3 else (0, 0, 0)
     if b == 0 or shapes != [(r,), (b, r, d), (b, r, d), (b, d)]:

@@ -59,7 +59,6 @@ class RunConfig:
     quadrature: QuadratureGrid | None = None
     out_dir: str | None = None
     threads: int = 1
-    early_exit: bool = False
     n_record: int = 0  # leading trajectories written as CSV
 
 
@@ -68,14 +67,10 @@ class RunSummary:
     terminals: np.ndarray  # (S, d)
     z_estimate: float | None
     z_stderr: float | None
-    seed: int
-    n_steps: int
     ess_min: np.ndarray  # (S,) per-trajectory minimum ESS
     min_ess: float
     config: dict
     config_hash: str
-    out_dir: str | None
-    early_terminals: np.ndarray | None  # weighted state at the last step
 
 
 def _resolve_beta(beta, dim: int):
@@ -113,9 +108,7 @@ def _canonical_config(cfg: RunConfig, params, dim: int, target_desc: dict) -> di
             "n_steps": int(cfg.sde.n_steps),
             "seed": int(cfg.sde.seed),
             "record_every": int(cfg.sde.record_every),
-            "record_weighted_state": bool(cfg.sde.record_weighted_state),
         },
-        "early_exit": bool(cfg.early_exit),
     }
     if cfg.uhis is not None and cfg.control_mode == "uhis":
         c["uhis"] = {
@@ -265,14 +258,12 @@ def run(cfg: RunConfig) -> RunSummary:
     S = cfg.n_samples
     chunk = _chunk_size(cfg.control_mode, cfg, dim, desc.get("count", 1))
     starts = list(range(0, S, chunk))
-    # recorded rows are written with their weighted state
-    sde_cfg = dataclasses.replace(cfg.sde, record_weighted_state=True)
 
     def _one(start: int):
         size = min(chunk, S - start)
         rec = [i - start for i in range(start, start + size) if i < cfg.n_record]
         return integrate_batch(
-            sde_cfg,
+            cfg.sde,
             evaluator,
             dim,
             n_trajectories=size,
@@ -311,26 +302,14 @@ def run(cfg: RunConfig) -> RunSummary:
         else:
             z_se = float("nan")
 
-    early = None
-    if cfg.early_exit:
-        if any(b.terminal_weighted is None for b in batches):
-            raise ConfigError(
-                "early_exit requires a control that reports its weighted state"
-            )
-        early = np.concatenate([b.terminal_weighted for b in batches], axis=0)
-
     summary = RunSummary(
         terminals=terminals,
         z_estimate=z,
         z_stderr=z_se,
-        seed=cfg.sde.seed,
-        n_steps=cfg.sde.n_steps,
         ess_min=ess_min,
         min_ess=min_ess,
         config=canonical,
         config_hash=chash,
-        out_dir=cfg.out_dir,
-        early_terminals=early,
     )
     if cfg.out_dir is not None:
         _write_outputs(cfg, summary, batches, starts)

@@ -27,7 +27,6 @@ class SdeConfig:
     n_steps: int  # K
     seed: int
     record_every: int = 1
-    record_weighted_state: bool = False
 
     def __post_init__(self):
         if self.n_steps < 2:
@@ -47,20 +46,20 @@ class BatchTrajectories:
     """Trajectories advanced together; recording restricted to record_indices.
 
     times hold the drift-evaluation instants; the state at t = 1 lives in
-    terminals, after the last step. A control that does not report its
+    terminals, after the last step. The recorded arrays have B_rec = 0
+    rows when nothing is recorded. A control that does not report its
     weighted state leaves NaN rows in weighted_states.
     """
 
     times: np.ndarray  # (R,)
     record_indices: np.ndarray  # (B_rec,) indices into the batch
-    states: np.ndarray | None  # (B_rec, R, d)
-    weighted_states: np.ndarray | None  # (B_rec, R, d)
-    ess_series: np.ndarray | None  # (B_rec, R)
-    max_weight_series: np.ndarray | None  # (B_rec, R)
+    states: np.ndarray  # (B_rec, R, d)
+    weighted_states: np.ndarray  # (B_rec, R, d)
+    ess_series: np.ndarray  # (B_rec, R)
+    max_weight_series: np.ndarray  # (B_rec, R)
     terminals: np.ndarray  # (B, d)
     log_girsanov: np.ndarray  # (B,)
     potential_integral: np.ndarray  # (B,)
-    terminal_weighted: np.ndarray | None  # (B, d)
     ess_min_per: np.ndarray  # (B,) minimum ESS over steps, per trajectory
 
 
@@ -110,18 +109,15 @@ def integrate_batch(
     n_rec = rec_idx.size
 
     times = np.array([k * dt for k in rec_steps])
-    states = np.empty((n_rec, R, dim)) if n_rec else None
-    w_states = (
-        np.empty((n_rec, R, dim)) if (n_rec and cfg.record_weighted_state) else None
-    )
-    ess_series = np.empty((n_rec, R)) if n_rec else None
-    maxw_series = np.empty((n_rec, R)) if n_rec else None
+    states = np.empty((n_rec, R, dim))
+    w_states = np.empty((n_rec, R, dim))
+    ess_series = np.empty((n_rec, R))
+    maxw_series = np.empty((n_rec, R))
 
     x = np.zeros((B, dim))
     gir = np.zeros(B)
     pot = np.zeros(B)
     ess_min_per = np.full(B, math.inf)
-    terminal_weighted = None
 
     for k in range(K):
         t = k * dt
@@ -154,18 +150,13 @@ def integrate_batch(
             maxw_series[:, r] = np.broadcast_to(
                 np.asarray(out.max_weight, dtype=float), (B,)
             )[rec_idx]
-            if w_states is not None:
-                if out.weighted_state is None:
-                    w_states[:, r] = np.nan
-                else:
-                    ws = np.broadcast_to(
-                        np.asarray(out.weighted_state, dtype=float), (B, dim)
-                    )
-                    w_states[:, r] = ws[rec_idx]
-        if k == K - 1 and out.weighted_state is not None:
-            terminal_weighted = np.array(
-                np.broadcast_to(np.asarray(out.weighted_state, dtype=float), (B, dim))
-            )
+            if out.weighted_state is None:
+                w_states[:, r] = np.nan
+            else:
+                ws = np.broadcast_to(
+                    np.asarray(out.weighted_state, dtype=float), (B, dim)
+                )
+                w_states[:, r] = ws[rec_idx]
 
         xi = normal_rows(cfg.seed, k, PURPOSE_INCREMENT, first_trajectory, B, dim)
         x_new = x + u * dt + sqrt_dt * xi
@@ -194,7 +185,6 @@ def integrate_batch(
         terminals=x,
         log_girsanov=gir,
         potential_integral=pot,
-        terminal_weighted=terminal_weighted,
         ess_min_per=ess_min_per,
     )
 

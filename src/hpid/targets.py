@@ -252,34 +252,6 @@ def assign_modes(m: GaussianMixtureEnergy, samples) -> np.ndarray:
     return np.argmin(m._sq_dists(s), axis=-1)
 
 
-_ENERGY_BUILDERS = {
-    "gaussian": GaussianEnergy,
-    "double-well": DoubleWellEnergy,
-    "gaussian-mixture": None,  # handled below: array arguments
-}
-
-
-def make_energy(name: str, dim: int, **params) -> Energy:
-    """Construct a built-in energy by registry name."""
-    if name not in _ENERGY_BUILDERS:
-        known = ", ".join(sorted(_ENERGY_BUILDERS))
-        raise InputError(f"unknown energy {name!r}; known: {known}")
-    if name == "gaussian-mixture":
-        centers = np.asarray(params.pop("centers"), dtype=float)
-        if centers.ndim == 1:
-            centers = centers[:, None]
-        weights = params.pop("weights", None)
-        if weights is None:
-            weights = np.full(centers.shape[0], 1.0 / centers.shape[0])
-        m = GaussianMixtureEnergy(
-            centers=centers, weights=np.asarray(weights, dtype=float), **params
-        )
-        if m.dim != dim:
-            raise InputError(f"centers have dim {m.dim}, expected {dim}")
-        return m
-    return _ENERGY_BUILDERS[name](dim=dim, **params)
-
-
 def save_dataset(path: str, samples) -> None:
     """Write sample rows; binary container or CSV chosen by extension."""
     s = np.asarray(samples, dtype=float)

@@ -351,9 +351,7 @@ def _memorization_batch(beta, record_every):
     rows = np.random.default_rng(424242).normal(size=(10, 50)) * 5.0
     params = ScalarBeta(beta, 50)
     control = EmpiricalControlEvaluator(params, EmpiricalTarget(rows))
-    cfg = SdeConfig(
-        n_steps=400, seed=99, record_every=record_every, record_weighted_state=True
-    )
+    cfg = SdeConfig(n_steps=400, seed=99, record_every=record_every)
     batch = integrate_batch(
         cfg, control, dim=50, n_trajectories=100, params=params, record="all"
     )

@@ -158,6 +158,34 @@ def test_retired_control_is_exit_2(tmp_path, capsys, source):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("source", ["early_exit", "record_weighted", "summary"])
+def test_retired_run_key_is_exit_2(tmp_path, capsys, source):
+    # early_exit and record_weighted changed no sample and no written file;
+    # a manifest or stored summary.json that still sets them is refused
+    argv = ["sample-energy", "--out", str(tmp_path / "o")]
+    key = source
+    if source == "summary":
+        # the echo a run wrote before the keys were retired; its keys are
+        # sorted, so early_exit is the first unknown one
+        key = "early_exit"
+        echoed = {
+            "target": {"kind": "energy", "energy": "gaussian", "dim": "1",
+                       "mean": "0.0", "sigma2": "0.7"},
+            "potential": {"beta": "0.0"},
+            "run": {"control": "uhis", "early_exit": "false", "n_is": "64",
+                    "record": "0", "record_every": "1", "record_weighted": "false",
+                    "reuse_probe_noise": "true", "samples": "32", "seed": "0",
+                    "steps": "12", "t_min": "0.0", "wide_sigma2": "1.0"},
+        }
+        doc = {"status": "complete", "cli_config": echoed}
+        argv += ["--config", _write(tmp_path, "summary.json", json.dumps(doc))]
+    else:
+        argv += ["--config", _write(tmp_path, "m.ini", GAUSS_INI + f"{source} = true\n")]
+    assert main(argv) == 2
+    assert f"error: unknown key '{key}' in [run]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_numerical_failure_is_exit_3(tmp_path, capsys):
     # quadrature window far narrower than the target's support
     ini = GAUSS_INI + "control = oracle\nquad_lo = -0.5\nquad_hi = 0.5\nquad_n = 81\n"

@@ -216,8 +216,6 @@ def test_build_variants():
                 "samples": "4",
                 "steps": "6",
                 "record": "2",
-                "record_weighted": "true",
-                "early_exit": "true",
                 "out": "somewhere",
             },
         }
@@ -226,8 +224,6 @@ def test_build_variants():
     assert cfg.dataset == "gt.bin" and cfg.energy is None
     assert cfg.control_mode == "empirical"
     assert cfg.n_record == 2
-    assert cfg.sde.record_weighted_state is True
-    assert cfg.early_exit is True
     assert cfg.out_dir == "somewhere"
 
     r = resolve(_energy_raw(control="oracle", quad_lo="-6.0", quad_hi="6.0", quad_n="201"))

@@ -104,7 +104,8 @@ def test_input_validation():
     bad[0, 2, 0] = np.nan
     with pytest.raises(ConfigError, match="non-finite"):
         autocorrelation(times, states, bad, terminals)
-    with pytest.raises(ConfigError, match="weighted states were not recorded"):
+    # a missing array is a shape mismatch like any other
+    with pytest.raises(InputError, match="mismatched shapes"):
         autocorrelation(times, states, None, terminals)
 
 
@@ -112,20 +113,15 @@ def test_batch_input_requires_recording():
     target = EmpiricalTarget(np.array([[3.0], [-3.0]]))
     control = EmpiricalControlEvaluator(ScalarBeta(1.0, 1), target)
     cfg = SdeConfig(n_steps=8, seed=0)
-    batch = integrate_batch(
-        cfg, control, dim=1, n_trajectories=3, params=ScalarBeta(1.0, 1), record="none"
-    )
-    with pytest.raises(ConfigError, match="without recording"):
-        autocorrelation(
-            batch.times, batch.states, batch.weighted_states, batch.terminals
+    # an unrecorded batch has (0, R, d) arrays, whichever way it was asked for
+    for record in ("none", []):
+        batch = integrate_batch(
+            cfg, control, dim=1, n_trajectories=3, params=control.params, record=record
         )
-    batch = integrate_batch(
-        cfg, control, dim=1, n_trajectories=3, params=ScalarBeta(1.0, 1), record="all"
-    )
-    with pytest.raises(ConfigError, match="record_weighted_state"):
-        autocorrelation(
-            batch.times, batch.states, batch.weighted_states, batch.terminals
-        )
+        with pytest.raises(InputError, match="no trajectories"):
+            autocorrelation(
+                batch.times, batch.states, batch.weighted_states, batch.terminals
+            )
 
 
 def test_weighted_state_commits_before_state():
@@ -133,9 +129,7 @@ def test_weighted_state_commits_before_state():
     # while x only approaches it near the end of the bridge
     target = EmpiricalTarget(np.array([[8.0, 0.0], [-8.0, 0.0]]))
     control = EmpiricalControlEvaluator(ScalarBeta(1.0, 2), target)
-    cfg = SdeConfig(
-        n_steps=200, seed=21, record_every=2, record_weighted_state=True
-    )
+    cfg = SdeConfig(n_steps=200, seed=21, record_every=2)
     batch = integrate_batch(
         cfg, control, dim=2, n_trajectories=40, params=ScalarBeta(1.0, 2), record="all"
     )

@@ -1,13 +1,10 @@
-import dataclasses
 import json
-import os
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
 import hpid.sampler as sampler_mod
 from hpid.control import (
@@ -159,17 +156,6 @@ def test_thread_count_does_not_change_outputs(kind, energy, n, chunk, threads):
     assert a.z_estimate == b.z_estimate
 
 
-def test_early_exit_returns_weighted_terminals():
-    s = run(_dataset_cfg(early_exit=True))
-    assert s.early_terminals is not None
-    assert s.early_terminals.shape == (32, 2)
-    # the weighted state is a convex combination of the stored samples
-    lo = np.array([[1.5, 0.0], [-1.5, 0.5], [0.0, -1.0]]).min(axis=0)
-    hi = np.array([[1.5, 0.0], [-1.5, 0.5], [0.0, -1.0]]).max(axis=0)
-    assert np.all(s.early_terminals >= lo - 1e-9)
-    assert np.all(s.early_terminals <= hi + 1e-9)
-
-
 def test_quadrature_oracle_mode():
     cfg = RunConfig(
         n_samples=8,
@@ -226,7 +212,7 @@ def test_trajectory_csvs_are_byte_identical_to_per_value_format(tmp_path, monkey
     run(cfg)
     params = ScalarBeta(beta=cfg.beta, dim=2)
     ref = integrate_batch(
-        dataclasses.replace(cfg.sde, record_weighted_state=True),
+        cfg.sde,
         EmpiricalControlEvaluator(params, cfg.dataset),
         dim=2,
         n_trajectories=cfg.n_samples,
@@ -340,12 +326,12 @@ _GRID_CENTERS = [[a, b] for a in (-5.0, 0.0, 5.0) for b in (-5.0, 0.0, 5.0)]
                 "sigma2": 0.5,
                 "weights": [1.0 / 9.0] * 9,
             },
-            "7fd3ada9bc6d87792bc0e828bd53f7353f93452d1d0e4aae9e49b4aa379f60ea",
+            "d5f0e037da62de1ad2458e38f1246f0edb27c6c879d893427dc60018cb92de10",
         ),
         (
             GaussianEnergy(dim=2, sigma2=1.0),
             {"class": "GaussianEnergy", "dim": 2, "sigma2": 1.0, "mean": [0.0, 0.0]},
-            "648a3eec0bd42fd93b2c0049d35ffed323f3c10cfb8bdc4526597ba06538334d",
+            "b5208b77452063d8744ab2328b82581aaae124c4a4b6fef994a0a0fde28ce086",
         ),
     ],
 )

@@ -207,7 +207,7 @@ def test_any_batch_split_is_bitwise_invariant(reuse, n, data):
 
 def test_single_trajectory_matches_batch_row():
     params = ScalarBeta(beta=0.6, dim=2)
-    cfg = SdeConfig(n_steps=15, seed=31, record_weighted_state=True)
+    cfg = SdeConfig(n_steps=15, seed=31)
     control = UhisControlEvaluator(params, _mixture2(), UhisConfig(n_is=32))
     batch = integrate_batch(
         cfg, control, dim=2, n_trajectories=10, params=params, record=[7]
@@ -226,7 +226,6 @@ def test_single_trajectory_matches_batch_row():
     assert single.potential_integral[0] == batch.potential_integral[7]
     assert np.array_equal(single.states[0], batch.states[0])
     assert np.array_equal(single.weighted_states[0], batch.weighted_states[0])
-    assert np.array_equal(single.terminal_weighted[0], batch.terminal_weighted[7])
 
 
 def test_record_selection_and_step_thinning():
@@ -241,7 +240,8 @@ def test_record_selection_and_step_thinning():
     assert batch.ess_series.shape == (2, 4)
     assert batch.max_weight_series.shape == (2, 4)
     none = integrate_batch(cfg, _zero_control(), dim=1, n_trajectories=6)
-    assert none.states is None and none.ess_series is None
+    assert none.states.shape == none.weighted_states.shape == (0, 4, 1)
+    assert none.ess_series.shape == none.max_weight_series.shape == (0, 4)
     assert none.terminals.shape == (6, 1)
     with pytest.raises(InputError):
         integrate_batch(cfg, _zero_control(), dim=1, n_trajectories=6, record=[6])
@@ -259,24 +259,23 @@ def test_final_step_always_recorded():
 def test_weighted_state_recording():
     params = ScalarBeta(beta=0.4, dim=1)
     target = EmpiricalTarget(np.array([[1.0], [-1.0]]))
-    cfg = SdeConfig(n_steps=8, seed=2, record_weighted_state=True)
+    cfg = SdeConfig(n_steps=8, seed=2)
     control = EmpiricalControlEvaluator(params, target)
     traj = integrate_batch(
         cfg, control, dim=1, n_trajectories=1, params=params, record="all"
     )
-    assert traj.weighted_states is not None
     assert np.isfinite(traj.weighted_states[0]).all()
     # the weighted state is a convex combination of the two targets
     assert np.all(np.abs(traj.weighted_states[0]) <= 1.0 + 1e-12)
-    assert traj.terminal_weighted is not None
-    assert np.array_equal(traj.terminal_weighted[0], traj.weighted_states[0, -1])
+    # the last record is x-hat of the state at the last drift instant
+    last = control(traj.times[-1], traj.states[:, -1])
+    assert np.array_equal(last.weighted_state[0], traj.weighted_states[0, -1])
 
 
 def test_opaque_control_yields_no_weighted_state():
-    cfg = SdeConfig(n_steps=6, seed=2, record_weighted_state=True)
+    cfg = SdeConfig(n_steps=6, seed=2)
     traj = integrate_batch(cfg, _zero_control(), dim=1, n_trajectories=1, record="all")
     assert np.all(np.isnan(traj.weighted_states[0]))
-    assert traj.terminal_weighted is None
     assert np.all(traj.ess_series[0] == 1.0)
     assert np.all(traj.max_weight_series[0] == 1.0)
 

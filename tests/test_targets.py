@@ -14,7 +14,6 @@ from hpid.targets import (
     assign_modes,
     grid_mixture,
     load_dataset,
-    make_energy,
     mixture_partition_oracle,
     save_dataset,
 )
@@ -143,20 +142,6 @@ def test_assign_modes_nearest_center():
     assert np.array_equal(assign_modes(m, samples), np.arange(9))
     with pytest.raises(InputError):
         assign_modes(m, np.zeros((3, 5)))
-
-
-def test_make_energy_registry():
-    e = make_energy("gaussian", 2, sigma2=0.3)
-    assert isinstance(e, GaussianEnergy) and e.sigma2 == 0.3
-    e = make_energy("double-well", 1, stiffness=2.0)
-    assert isinstance(e, DoubleWellEnergy)
-    e = make_energy("gaussian-mixture", 2, centers=[[0.0, 0.0], [1.0, 1.0]], sigma2=0.5)
-    assert isinstance(e, GaussianMixtureEnergy)
-    assert_allclose(e.weights, [0.5, 0.5])
-    with pytest.raises(InputError):
-        make_energy("nope", 2)
-    with pytest.raises(InputError):
-        make_energy("gaussian-mixture", 3, centers=[[0.0, 0.0]], sigma2=0.5)
 
 
 @given(
