@@ -43,8 +43,6 @@ _RUN_KEYS = {
     "seed": ("int", "0"),
     "control": ("str", None),
     "n_is": ("int", "1000"),
-    "t_min": ("float", "0.0"),
-    "wide_sigma2": ("float", "1.0"),
     "reuse_probe_noise": ("bool", "false"),
     "out": ("str", None),
     "record": ("int", "0"),
@@ -248,7 +246,7 @@ def resolve(raw: dict, overrides: dict | None = None) -> dict:
     out["run"]["seed"] = get("run", "seed")
     out["run"]["control"] = control
     if control == "uhis":
-        for key in ("n_is", "t_min", "wide_sigma2", "reuse_probe_noise"):
+        for key in ("n_is", "reuse_probe_noise"):
             out["run"][key] = get("run", key)
     elif control == "oracle":
         for key in ("quad_lo", "quad_hi", "quad_n"):
@@ -310,8 +308,6 @@ def build_run_config(normalized: dict, threads: int = 1) -> RunConfig:
     if mode == "uhis":
         uhis = UhisConfig(
             n_is=val("run", "n_is", 1000),
-            t_min=val("run", "t_min", 0.0),
-            wide_sigma2=val("run", "wide_sigma2", 1.0),
             reuse_probe_noise=val("run", "reuse_probe_noise", False),
         )
     quad = None

@@ -30,11 +30,15 @@ from .kernels import (
     Potential,
     _as_points,
     _ret,
+    _rows_matmul,
     _validate_t,
     drift_prefactors,
     log_kernel_ratio,
 )
 from .stationary import ProbeGaussian, universal_probe
+
+# variance per axis of the wide zero-centred fallback probe
+_WIDE_SIGMA2 = 1.0
 
 
 @dataclass(frozen=True)
@@ -46,20 +50,17 @@ class UhisConfig:
     trajectory, instead of per-trajectory blocks. Off by default because
     sharing correlates trajectories within a step. At t <= t_min, and
     whenever the probe denominator underflows, the probe falls back to
-    N(0, wide_sigma2 I). Immutable and free of random state: the noise
+    the wide N(0, I). Immutable and free of random state: the noise
     always comes from the caller, so a config can be shared by threads.
     """
 
     n_is: int
     reuse_probe_noise: bool = False
     t_min: float = 0.0
-    wide_sigma2: float = 1.0
 
     def __post_init__(self):
         if self.n_is < 1:
             raise InputError(f"n_is must be >= 1, got {self.n_is}")
-        if not (np.isfinite(self.wide_sigma2) and self.wide_sigma2 > 0):
-            raise InputError(f"wide_sigma2 must be positive, got {self.wide_sigma2}")
 
 
 @dataclass(frozen=True)
@@ -132,13 +133,17 @@ def _drift_output(params: Potential, t, x, xhat, ess, max_w) -> ControlOutput:
 
 
 def _weighted_state(log_w, ys):
-    """Softmax weights of log_w (..., n) and their average of ys (..., n, d)."""
+    """Softmax weights of log_w (..., n) and their average of ys: one
+    (n, d) row set shared by every index, or one (..., n, d) block each."""
     w, ess, max_w = _softmax_weights(log_w)
-    xhat = np.einsum("...n,...nd->...d", w, ys)
+    if ys.ndim == 2:
+        xhat = _rows_matmul(w, ys)
+    else:
+        xhat = np.einsum("...n,...nd->...d", w, ys)
     return xhat, ess, max_w
 
 
-def _probe_or_wide(params, t, x, t_min, wide_sigma2):
+def _probe_or_wide(params, t, x, t_min):
     """Universal probe when it exists, else the wide fallback; flags which."""
     if t > t_min:
         try:
@@ -146,7 +151,7 @@ def _probe_or_wide(params, t, x, t_min, wide_sigma2):
         except DegenerateProbeGaussianError:
             pass
     wide = ProbeGaussian(
-        mean=np.zeros_like(x), precision=1.0 / wide_sigma2, t=float(t), params=params
+        mean=np.zeros_like(x), precision=1.0 / _WIDE_SIGMA2, t=float(t), params=params
     )
     return wide, False
 
@@ -175,17 +180,15 @@ def uhis_control(
             f"per point {owned}, got {got}"
         )
     xi = np.asarray(xi, dtype=float)
-    probe, universal = _probe_or_wide(params, t, x, cfg.t_min, cfg.wide_sigma2)
+    probe, universal = _probe_or_wide(params, t, x, cfg.t_min)
     panel_fn = getattr(energy, "panel_logw", None)
     if universal and x.ndim == 2 and xi.ndim == 2 and panel_fn is not None:
         # the weights are exp(-E) alone, so a shared panel never
         # materializes (B, N, d): y = mean + scale * panel row
         scale, panel = probe.spread(xi)
         log_w = np.asarray(panel_fn(probe.mean, scale, panel), dtype=float)
-        w, ess, max_w = _softmax_weights(log_w)
-        # einsum, not gemm: its reduction order is independent of the
-        # batch shape, keeping rows bitwise stable under batch splits
-        xhat = probe.mean + scale * np.einsum("...n,nd->...d", w, panel)
+        xbar, ess, max_w = _weighted_state(log_w, panel)
+        xhat = probe.mean + scale * xbar
     else:
         ys = probe.draw(np.broadcast_to(xi, owned))
         energies = np.asarray(energy.value(ys), dtype=float)

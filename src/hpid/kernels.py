@@ -38,9 +38,37 @@ BETA_ZERO_TOL = 1e-12
 _LOG_2 = float(np.log(2.0))
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+_ROW_TILE = 16  # rows per GEMM in _rows_matmul
+
 _EIG_CLAMP = 1e-12  # eigenvalues above -this are clamped to zero
 _EIG_REJECT = -1e-8  # eigenvalues below this reject the matrix
 _SYM_TOL = 1e-10
+
+
+def _rows_matmul(a, b):
+    """a @ b for a of shape (..., k) and b (k, n), one GEMM per 16-row tile.
+
+    BLAS rounds a row differently depending on how many rows its product
+    has, so a plain a @ b can change a trajectory's bits with the batch
+    split. Every GEMM here sees exactly _ROW_TILE rows (full tiles as one
+    stacked matmul, the last partial tile zero-padded), so each result row
+    depends bitwise on its own row of a and on b alone. Every product over
+    trajectory rows goes through here.
+    """
+    a = np.asarray(a, dtype=float)
+    k, n = b.shape
+    flat = a.reshape(-1, k)
+    m = flat.shape[0]
+    full = m - m % _ROW_TILE
+    out = np.empty((m, n))
+    if full:
+        tiles = flat[:full].reshape(-1, _ROW_TILE, k)
+        np.matmul(tiles, b, out=out[:full].reshape(-1, _ROW_TILE, n))
+    if full < m:
+        tail = np.zeros((_ROW_TILE, k))
+        tail[: m - full] = flat[full:]
+        out[full:] = (tail @ b)[: m - full]
+    return out.reshape(a.shape[:-1] + (n,))
 
 
 @dataclass(frozen=True)
@@ -90,15 +118,15 @@ class MatrixBeta:
 
     def to_eigenbasis(self, v):
         """Coordinates of v (..., d) in the eigenbasis."""
-        return np.asarray(v, dtype=float) @ self.eigvecs
+        return _rows_matmul(v, self.eigvecs)
 
     def from_eigenbasis(self, v):
-        return np.asarray(v, dtype=float) @ self.eigvecs.T
+        return _rows_matmul(v, self.eigvecs.T)
 
     def potential(self, x):
         """V(x) = x^T B x / 2 for x of shape (..., d)."""
         x = np.asarray(x, dtype=float)
-        return 0.5 * np.einsum("...i,ij,...j->...", x, self.beta_matrix, x)
+        return 0.5 * np.einsum("...i,...i->...", x, _rows_matmul(x, self.beta_matrix))
 
 
 # the potential interface every kernel-level operation is written against

@@ -1,10 +1,12 @@
 """Run orchestration: S independent controlled trajectories in, samples out.
 
-A run draws every trajectory from its own counter-based noise rows, so
-the terminal array is bit-identical no matter how the population is
-chunked or how many worker threads advance the chunks. Chunks exist only
-to bound the per-step working set (probe draws dominate: n_is * d
-doubles per trajectory per step).
+A run draws every trajectory from its own counter-based noise rows (or
+one shared probe panel per step), and every product over trajectory rows
+runs on fixed-size row tiles, so the terminal array is bit-identical no
+matter how the population is chunked or how many worker threads advance
+the chunks, for every drift evaluator and for scalar or matrix beta.
+Chunks exist only to bound the per-step working set (probe draws
+dominate: n_is * d doubles per trajectory per step).
 
 Energy-mode runs also estimate the partition function from the same
 trajectories. Each path carries its likelihood ratio against the
@@ -96,7 +98,7 @@ def _describe_energy(e: Energy) -> dict:
     return d
 
 
-def _canonical_config(cfg: RunConfig, params, dim: int, target_desc: dict) -> dict:
+def _canonical_config(cfg: RunConfig, dim: int, target_desc: dict) -> dict:
     beta = np.asarray(cfg.beta, dtype=float)
     c = {
         "n_samples": int(cfg.n_samples),
@@ -115,7 +117,6 @@ def _canonical_config(cfg: RunConfig, params, dim: int, target_desc: dict) -> di
             "n_is": int(cfg.uhis.n_is),
             "reuse_probe_noise": bool(cfg.uhis.reuse_probe_noise),
             "t_min": float(cfg.uhis.t_min),
-            "wide_sigma2": float(cfg.uhis.wide_sigma2),
         }
     if cfg.quadrature is not None and cfg.control_mode == "quadrature-oracle":
         g = cfg.quadrature
@@ -253,7 +254,7 @@ def _write_trajectory_csv(path: str, times, states, weighted, ess):
 def run(cfg: RunConfig) -> RunSummary:
     """Simulate cfg.n_samples independent trajectories and collect results."""
     params, dim, evaluator, energy, desc = _validate_and_build(cfg)
-    canonical = _canonical_config(cfg, params, dim, desc)
+    canonical = _canonical_config(cfg, dim, desc)
     chash = _config_hash(canonical)
     S = cfg.n_samples
     chunk = _chunk_size(cfg.control_mode, cfg, dim, desc.get("count", 1))

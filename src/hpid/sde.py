@@ -5,12 +5,15 @@ at the left endpoint of each step, so the singular time t = 1 is never
 queried and the 1/(1-t) growth of the optimal drift is tamed exactly.
 
 Noise comes from counter-based streams keyed by (seed, step, purpose)
-with one row per trajectory, so a trajectory's path is bit-identical no
-matter how the batch is partitioned or threaded. Each step also
-accumulates the two pieces of the path's likelihood ratio against the
-uncontrolled reference measure (the Girsanov sum for the drift and the
-left-Riemann integral of the quadratic potential); the partition-function
-estimator in the sampler is assembled from them.
+with one row per trajectory, and the drift evaluators form every product
+over trajectory rows on fixed 16-row tiles (kernels._rows_matmul), so a
+trajectory's path is bit-identical no matter how the batch is partitioned
+or threaded: for every evaluator, shared probe panels included, and for
+scalar or matrix beta. Each step also accumulates the two pieces of the
+path's likelihood ratio against the uncontrolled reference measure (the
+Girsanov sum for the drift and the left-Riemann integral of the quadratic
+potential); the partition-function estimator in the sampler is assembled
+from them.
 """
 
 import math

@@ -20,6 +20,7 @@ from scipy.special import logsumexp
 
 from .control import EmpiricalTarget
 from .errors import AccuracyError, FormatError, InputError
+from .kernels import _rows_matmul
 
 DATASET_MAGIC = b"HPID"
 DATASET_VERSION = 1
@@ -37,7 +38,9 @@ class Energy:
     equal to -E(means[i] + scale * panel[n]) up to an additive per-row
     constant, with means (B, d), scalar scale > 0, panel (N, d). The
     self-normalized drift estimate uses it, when present, to avoid
-    materializing the (B, N, d) sample block.
+    materializing the (B, N, d) sample block. Row i must depend on
+    means[i] alone, bitwise, so every product over the rows of means is
+    formed with kernels._rows_matmul, never a plain matmul.
     """
 
     dim: int
@@ -68,7 +71,8 @@ class GaussianEnergy(Energy):
         panel = np.asarray(panel, dtype=float)
         s = float(scale)
         pansq = np.einsum("ni,ni->n", panel, panel)
-        return -(2.0 * s * (dm @ panel.T) + s * s * pansq) / (2.0 * self.sigma2)
+        cross = _rows_matmul(dm, panel.T)
+        return -(2.0 * s * cross + s * s * pansq) / (2.0 * self.sigma2)
 
 
 class DoubleWellEnergy(Energy):
@@ -118,17 +122,11 @@ class GaussianMixtureEnergy(Energy):
         object.__setattr__(self, "dim", int(c.shape[1]))
 
     def _sq_dists(self, y):
-        # |y|^2 - 2 y.mu + |mu|^2, one GEMM for any batch shape; with one
-        # or two centers BLAS takes a gemv path whose rounding depends on
-        # the batch shape, so einsum keeps rows stable under batch splits
+        # |y|^2 - 2 y.mu + |mu|^2
         y = np.asarray(y, dtype=float)
         yy = np.einsum("...i,...i->...", y, y)
         cc = np.einsum("mi,mi->m", self.centers, self.centers)
-        if self.centers.shape[0] <= 2:
-            cross = np.einsum("...i,mi->...m", y, self.centers)
-        else:
-            cross = y @ self.centers.T
-        return yy[..., None] - 2.0 * cross + cc
+        return yy[..., None] - 2.0 * _rows_matmul(y, self.centers.T) + cc
 
     def _log_resp(self, y):
         a = -self._sq_dists(y) / (2.0 * self.sigma2)
@@ -149,18 +147,15 @@ class GaussianMixtureEnergy(Energy):
         s2 = self.sigma2
         c = self.centers
         cc = np.einsum("mi,mi->m", c, c)
-        if c.shape[0] <= 2:  # see _sq_dists: keep rows batch-shape stable
-            mc = np.einsum("bi,mi->bm", means, c)
-        else:
-            mc = means @ c.T
+        mc = _rows_matmul(means, c.T)
         with np.errstate(divide="ignore"):  # zero weights are legal
             amat = np.log(self.weights) + (mc - 0.5 * cc) / s2
         bmat = (s / s2) * (panel @ c.T)
         ash = amat.max(axis=1)
         bsh = bmat.max(axis=1)
-        r = np.exp(amat - ash[:, None]) @ np.exp(bmat - bsh[:, None]).T
+        r = _rows_matmul(np.exp(amat - ash[:, None]), np.exp(bmat - bsh[:, None]).T)
         pansq = np.einsum("ni,ni->n", panel, panel)
-        q = -(2.0 * s * (means @ panel.T) + s * s * pansq) / (2.0 * s2)
+        q = -(2.0 * s * _rows_matmul(means, panel.T) + s * s * pansq) / (2.0 * s2)
         with np.errstate(divide="ignore"):  # underflown products drop out
             return q + ash[:, None] + bsh[None, :] + np.log(r)
 

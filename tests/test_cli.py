@@ -158,10 +158,13 @@ def test_retired_control_is_exit_2(tmp_path, capsys, source):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("source", ["early_exit", "record_weighted", "summary"])
+@pytest.mark.parametrize(
+    "source", ["early_exit", "record_weighted", "t_min", "wide_sigma2", "summary"]
+)
 def test_retired_run_key_is_exit_2(tmp_path, capsys, source):
     # early_exit and record_weighted changed no sample and no written file;
-    # a manifest or stored summary.json that still sets them is refused
+    # t_min and wide_sigma2 had one value outside the tests and are fixed
+    # now; a manifest or stored summary.json that still sets any is refused
     argv = ["sample-energy", "--out", str(tmp_path / "o")]
     key = source
     if source == "summary":

@@ -48,11 +48,9 @@ def _mixture2():
 def test_uhis_config_validation():
     with pytest.raises(InputError):
         UhisConfig(n_is=0)
-    with pytest.raises(InputError):
-        UhisConfig(n_is=8, wide_sigma2=0.0)
     # settings only: no random state, and immutable so threads can share it
     fields = [f.name for f in dataclasses.fields(UhisConfig)]
-    assert fields == ["n_is", "reuse_probe_noise", "t_min", "wide_sigma2"]
+    assert fields == ["n_is", "reuse_probe_noise", "t_min"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         UhisConfig(n_is=8).n_is = 16
 
@@ -197,7 +195,7 @@ def test_uhis_wide_fallback_below_t_min():
     # below t_min the probe is the wide Gaussian regardless of panel
     # sharing, and both noise layouts must agree there too
     params = ScalarBeta(beta=0.7, dim=2)
-    cfg = UhisConfig(n_is=64, t_min=0.2, wide_sigma2=2.0)
+    cfg = UhisConfig(n_is=64, t_min=0.2)
     block = normals_from(np.random.default_rng(3), (64, 2))
     owned = np.array(np.broadcast_to(block, (4, 64, 2)))
     x = np.random.default_rng(4).normal(size=(4, 2))

@@ -19,6 +19,7 @@ from hpid.kernels import (
     ScalarBeta,
     _abc,
     _h_probe,
+    _rows_matmul,
     drift_prefactors,
     kernel_coeffs,
     log_g_minus,
@@ -228,3 +229,27 @@ def test_high_dimension_log_domain():
     y = np.full(d, -1.5)
     v = log_g_minus(p, 0.5, x, y)
     assert np.isfinite(v) and v < -1e4
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 1000])
+def test_rows_matmul_rows_do_not_depend_on_their_neighbours(k):
+    # a plain GEMM's rounding can change with its row count; the row-tiled
+    # product gives every row the same bits whatever rows surround it
+    rng = np.random.default_rng(k)
+    a = rng.normal(size=(40, k))
+    b = rng.normal(size=(k, 7))
+    whole = _rows_matmul(a, b)
+    bound = 1e-12 * (np.abs(a) @ np.abs(b))
+    assert np.all(np.abs(whole - a @ b) <= bound)
+    for m in range(1, 41):
+        for lo in sorted({0, 7 % (41 - m), 40 - m}):
+            part = _rows_matmul(a[lo : lo + m], b)
+            assert np.array_equal(part, whole[lo : lo + m]), (m, lo)
+    # leading axes are flattened into rows: a (B, N, k) operand
+    a3 = rng.normal(size=(3, 11, k))
+    stacked = _rows_matmul(a3, b)
+    assert stacked.shape == (3, 11, 7)
+    assert np.all(np.abs(stacked - a3 @ b) <= 1e-12 * (np.abs(a3) @ np.abs(b)))
+    for i in range(3):
+        assert np.array_equal(_rows_matmul(a3[i], b), stacked[i])
+    assert np.array_equal(_rows_matmul(a3[1, 4], b), stacked[1, 4])

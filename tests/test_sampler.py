@@ -121,13 +121,14 @@ def _run_in_chunks(cfg, chunk):
 
 
 @given(
-    kind=st.sampled_from(["uhis", "empirical"]),
+    kind=st.sampled_from(["uhis", "uhis-shared", "empirical"]),
     energy=st.sampled_from(sorted(_ENERGIES)),
     n=st.integers(1, 8),
     extra=st.integers(1, 8),
     chunks=st.tuples(st.integers(1, 16), st.integers(1, 16)),
     threads=st.integers(1, 3),
 )
+@example(kind="uhis-shared", energy="gaussian", n=3, extra=1, chunks=(1, 2), threads=1)
 @settings(max_examples=40, deadline=None)
 def test_prefix_of_larger_run_is_identical(kind, energy, n, extra, chunks, threads):
     # trajectory i depends only on its own index, so growing the
@@ -326,14 +327,15 @@ _GRID_CENTERS = [[a, b] for a in (-5.0, 0.0, 5.0) for b in (-5.0, 0.0, 5.0)]
                 "sigma2": 0.5,
                 "weights": [1.0 / 9.0] * 9,
             },
-            "d5f0e037da62de1ad2458e38f1246f0edb27c6c879d893427dc60018cb92de10",
+            "452d3baaf26b682ff4819da7e25f65dc18d315b303d863c701be69f07cd3b513",
         ),
         (
             GaussianEnergy(dim=2, sigma2=1.0),
             {"class": "GaussianEnergy", "dim": 2, "sigma2": 1.0, "mean": [0.0, 0.0]},
-            "b5208b77452063d8744ab2328b82581aaae124c4a4b6fef994a0a0fde28ce086",
+            "67d64c8bda9d17448d980ddb9ec8227f9ec2892f3992b4ef2dce2fb1dda25b88",
         ),
     ],
+    ids=["mixture", "gaussian"],
 )
 def test_energy_description_and_config_hash_are_frozen(energy, desc, chash):
     # the description and the run hash that keys it are frozen values:

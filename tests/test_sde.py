@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -12,7 +12,7 @@ from hpid.control import (
     UhisControlEvaluator,
 )
 from hpid.errors import InputError, IntegrationError
-from hpid.kernels import ScalarBeta
+from hpid.kernels import ScalarBeta, decompose
 from hpid.sde import SdeConfig, integrate_batch
 from hpid.targets import GaussianMixtureEnergy
 
@@ -167,30 +167,39 @@ def test_batch_partition_invariance(reuse):
     assert np.array_equal(whole.states, np.concatenate([head.states, tail.states]))
 
 
-_GEMM_ROWS = pytest.mark.xfail(
-    reason="the shared panel's log-weights are a GEMM whose rows change in "
-    "the last bit with the batch row count (a 1-row tail, e.g. 3 = 2 + 1), "
-    "until the controls run on fixed-shape row tiles",
-    strict=False,
+@given(
+    kind=st.sampled_from(["uhis", "uhis-shared", "empirical"]),
+    potential=st.sampled_from(["scalar", "matrix"]),
+    n_split=st.integers(2, 40).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n - 1))
+    ),
 )
-
-
-@pytest.mark.parametrize("reuse", [False, pytest.param(True, marks=_GEMM_ROWS)])
-@given(n=st.integers(2, 12), data=st.data())
-@settings(max_examples=25, deadline=None)
-def test_any_batch_split_is_bitwise_invariant(reuse, n, data):
-    # the probe noise is addressed by trajectory (or shared by step), so
-    # every split of a batch reproduces the one-batch run bit for bit
-    split = data.draw(st.integers(1, n - 1), label="split")
-    params = ScalarBeta(beta=0.6, dim=2)
-    cfg = SdeConfig(n_steps=4, seed=5)
-    control = UhisControlEvaluator(
-        params, _mixture2(), UhisConfig(n_is=8, reuse_probe_noise=reuse)
-    )
+@example(kind="uhis-shared", potential="scalar", n_split=(3, 2))
+@example(kind="uhis", potential="matrix", n_split=(2, 1))
+@example(kind="empirical", potential="matrix", n_split=(2, 1))
+@settings(max_examples=60, deadline=None)
+def test_any_batch_split_is_bitwise_invariant(kind, potential, n_split):
+    # the probe noise is addressed by trajectory (or shared by step) and
+    # every product over trajectory rows runs on fixed-size row tiles, so
+    # every split of a batch reproduces the one-batch run bit for bit, for
+    # each evaluator and for scalar or rotated matrix confinement
+    n, split = n_split
+    if potential == "scalar":
+        params = ScalarBeta(beta=0.6, dim=2)
+    else:
+        c, s = np.cos(0.5), np.sin(0.5)
+        rot = np.array([[c, -s], [s, c]])
+        params = decompose(rot @ np.diag([0.3, 1.2]) @ rot.T)
+    if kind == "empirical":
+        rows = np.random.default_rng(11).normal(size=(5, 2))
+        control = EmpiricalControlEvaluator(params, EmpiricalTarget(rows))
+    else:
+        cfg = UhisConfig(n_is=8, reuse_probe_noise=kind == "uhis-shared")
+        control = UhisControlEvaluator(params, _mixture2(), cfg)
 
     def batch(first, size):
         return integrate_batch(
-            cfg,
+            SdeConfig(n_steps=4, seed=5),
             control,
             dim=2,
             n_trajectories=size,
@@ -200,7 +209,8 @@ def test_any_batch_split_is_bitwise_invariant(reuse, n, data):
         )
 
     whole, head, tail = batch(0, n), batch(0, split), batch(split, n - split)
-    for name in ("terminals", "log_girsanov", "states"):
+    fields = ("terminals", "log_girsanov", "potential_integral", "states", "weighted_states")
+    for name in fields:
         parts = np.concatenate([getattr(head, name), getattr(tail, name)])
         assert np.array_equal(getattr(whole, name), parts), name
 
