@@ -1,11 +1,13 @@
 """
-Partition-function sweeps: bias shrinks with steps, noise with samples
-======================================================================
+Partition-function sweeps: spread shrinks with steps and with samples
+=====================================================================
 
-Each run carries a per-trajectory estimate of Z = integral of exp(-E).
-Repeating runs while sweeping the step count K (discretization bias) and
-the trajectory count S (Monte Carlo spread) shows both knobs doing their
-job: medians approach the oracle and the spread tightens.
+Each run carries a per-trajectory estimate of Z = integral of exp(-E),
+unbiased at every step count: each step is weighted by the exact
+harmonic transition factor. Repeating runs while sweeping the step
+count K (control accuracy, so weight variance) and the trajectory count
+S (Monte Carlo spread) shows both knobs doing their job: medians stay at
+the oracle and the spread tightens.
 
 Run:  python demos/05_partition_sweeps.py   (~60 s)
 """
@@ -45,7 +47,7 @@ for sweep, label in (("steps", "K (S fixed at 250)"), ("samples", "S (K fixed at
             f"IQR {q3 - q1:.4f}"
         )
     print()
-print("reading: the steps sweep moves the median toward the oracle")
-print("(discretization bias is O(1/K)); the samples sweep tightens the IQR")
-print("from the smallest to the largest S, though 6 repeats leave the")
-print("middle settings noisy; bump n_repeats for smoother quartiles")
+print("reading: Z is unbiased at every K, so every median sits near the oracle;")
+print("more steps make the drift more accurate and tighten the spread, and the")
+print("samples sweep tightens the IQR from the smallest to the largest S, though")
+print("6 repeats leave the middle settings noisy; bump n_repeats for smoother quartiles")

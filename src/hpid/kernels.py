@@ -24,7 +24,7 @@ happens inside downstream log-sum-exp reductions. Quadratic forms reach
 ~1e4 for d in the thousands, far past float64's exponent range.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
@@ -85,10 +85,6 @@ class ScalarBeta:
             raise InputError(f"dim must be a positive integer, got {self.dim}")
 
     @property
-    def is_zero(self) -> bool:
-        return self.beta < BETA_ZERO_TOL
-
-    @property
     def eigvals(self) -> float:
         """The one eigenvalue shared by every axis."""
         return self.beta
@@ -99,22 +95,17 @@ class ScalarBeta:
     def from_eigenbasis(self, v):
         return v
 
-    def potential(self, x):
-        """V(x) = beta |x|^2 / 2 for x of shape (..., d)."""
-        return 0.5 * self.beta * np.einsum("...i,...i->...", x, x)
-
 
 @dataclass(frozen=True)
 class MatrixBeta:
     """Spectral form of a symmetric PSD potential matrix."""
 
-    beta_matrix: np.ndarray  # (d, d)
     eigvals: np.ndarray  # (d,), nonnegative, ascending
     eigvecs: np.ndarray  # (d, d), columns are eigenvectors
-    dim: int = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "dim", int(self.beta_matrix.shape[0]))
+    @property
+    def dim(self) -> int:
+        return int(self.eigvals.shape[0])
 
     def to_eigenbasis(self, v):
         """Coordinates of v (..., d) in the eigenbasis."""
@@ -122,11 +113,6 @@ class MatrixBeta:
 
     def from_eigenbasis(self, v):
         return _rows_matmul(v, self.eigvecs.T)
-
-    def potential(self, x):
-        """V(x) = x^T B x / 2 for x of shape (..., d)."""
-        x = np.asarray(x, dtype=float)
-        return 0.5 * np.einsum("...i,...i->...", x, _rows_matmul(x, self.beta_matrix))
 
 
 # the potential interface every kernel-level operation is written against
@@ -158,7 +144,7 @@ def decompose(beta_matrix) -> MatrixBeta:
             "it must be positive semi-definite"
         )
     vals = np.where(vals < _EIG_CLAMP, 0.0, vals)
-    return MatrixBeta(beta_matrix=m, eigvals=vals, eigvecs=vecs)
+    return MatrixBeta(eigvals=vals, eigvecs=vecs)
 
 
 @dataclass(frozen=True)
@@ -327,6 +313,22 @@ def _log_g(params: Potential, tau, x, y):
         - _axes_sum(log_c, params.dim)
     )
     return _ret(out)
+
+
+def _harmonic_step(params: Potential, dt: float):
+    """f(x, y) = log G^beta_dt(x; y) - log G^0_dt(x; y) per row of (..., d): the
+    exact factor from a free one-step transition to the harmonic one. At
+    beta = 0 both coefficient sets are identical and f is exactly zero."""
+    a, b, log_c = _abc(params.eigvals, dt)
+    a0, b0, log_c0 = _abc(0.0, dt)
+    da, db = a - a0, b - b0
+    dlc = _axes_sum(log_c - log_c0, params.dim)
+
+    def factor(x, y):
+        x, y = params.to_eigenbasis(x), params.to_eigenbasis(y)
+        return -0.5 * _wsum(da, (x, x), (y, y)) + _wsum(db, (x, y)) - dlc
+
+    return factor
 
 
 def log_g_minus(params: Potential, t: float, x, y):

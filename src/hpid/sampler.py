@@ -9,18 +9,16 @@ Chunks exist only to bound the per-step working set (probe draws
 dominate: n_is * d doubles per trajectory per step).
 
 Energy-mode runs also estimate the partition function from the same
-trajectories. Each path carries its likelihood ratio against the
-uncontrolled reference process (Girsanov sum for the drift, left-Riemann
-sum for the quadratic potential), which combines with the terminal
-factors into one unbiased-in-discrete-time weight per path:
+trajectories. Each path's exact log weight against the uncontrolled
+harmonic reference (see sde) combines with the terminal factors into one
+weight per path:
 
-    log z_s = girsanov_s - potential_s - E(x_K) - log G_plus(1; x_K; 0).
+    log z_s = log_weight_s - E(x_K) - log G_plus(1; x_K; 0).
 
-Averaging exp(log z_s) in a scaled domain gives the estimate and its
-standard error. Under the exact optimal control the weight is constant
-across paths (zero variance); under approximate control the variance,
-not the mean, grows. The estimate is exact for beta = 0 at any step
-count and carries an O(1/K) discretization bias otherwise.
+Its mean is Z at any step count and any beta. Averaging exp(log z_s) in
+a scaled domain gives the estimate and its standard error. Under the
+exact optimal control the weight is constant across paths (zero
+variance); under approximate control the variance grows, not the bias.
 """
 
 import dataclasses
@@ -176,20 +174,24 @@ def _validate_and_build(cfg: RunConfig):
     return params, dim, evaluator, energy, desc
 
 
-def _chunk_size(mode: str, cfg: RunConfig, dim: int, n_rows: int = 1) -> int:
-    """Trajectories per chunk; n_rows is the dataset size S of an empirical run."""
-    if mode == "uhis":
-        n_is = cfg.uhis.n_is if cfg.uhis is not None else 1000
-        return max(1, _CHUNK_ELEMENTS // max(1, n_is * dim))
-    if mode == "quadrature-oracle":
+def _chunk_size(evaluator, dim: int) -> int:
+    """Trajectories per chunk for the built drift evaluator."""
+    if isinstance(evaluator, UhisControlEvaluator):
+        return max(1, _CHUNK_ELEMENTS // max(1, evaluator.cfg.n_is * dim))
+    if isinstance(evaluator, QuadratureControlEvaluator):
         return 256  # per-row grid integrals; small chunks keep failures early
-    return max(1, _CHUNK_ELEMENTS // n_rows)  # (B, S) kernel log-ratios
+    return max(1, _CHUNK_ELEMENTS // evaluator.target.count)  # (B, S) log-ratios
 
 
 def _log_z_terms(params, energy, batch):
     e_term = np.asarray(energy.value(batch.terminals), dtype=float)
     g_term = log_g_plus(params, 1.0, batch.terminals, np.zeros(params.dim))
-    return batch.log_girsanov - batch.potential_integral - e_term - g_term
+    return batch.log_weight - e_term - g_term
+
+
+def _finite_or_none(v):
+    """v for the JSON manifest: null when absent or not finite."""
+    return v if v is not None and np.isfinite(v) else None
 
 
 def _write_aborted(cfg: RunConfig, canonical, err: Exception, done: int):
@@ -229,9 +231,9 @@ def _write_outputs(cfg: RunConfig, summary: RunSummary, batches, starts):
         "config_sha256": summary.config_hash,
         "n_samples": int(summary.terminals.shape[0]),
         "dim": int(summary.terminals.shape[1]),
-        "z_estimate": summary.z_estimate,
-        "z_stderr": summary.z_stderr,
-        "min_ess": summary.min_ess if np.isfinite(summary.min_ess) else None,
+        "z_estimate": _finite_or_none(summary.z_estimate),
+        "z_stderr": _finite_or_none(summary.z_stderr),
+        "min_ess": _finite_or_none(summary.min_ess),
         "ess_min_median": float(np.median(finite)) if finite.size else None,
         "low_ess_fraction": float((finite < 1.5).mean()) if finite.size else None,
         "terminals": "terminals.bin",
@@ -257,7 +259,7 @@ def run(cfg: RunConfig) -> RunSummary:
     canonical = _canonical_config(cfg, dim, desc)
     chash = _config_hash(canonical)
     S = cfg.n_samples
-    chunk = _chunk_size(cfg.control_mode, cfg, dim, desc.get("count", 1))
+    chunk = _chunk_size(evaluator, dim)
     starts = list(range(0, S, chunk))
 
     def _one(start: int):

@@ -9,11 +9,11 @@ with one row per trajectory, and the drift evaluators form every product
 over trajectory rows on fixed 16-row tiles (kernels._rows_matmul), so a
 trajectory's path is bit-identical no matter how the batch is partitioned
 or threaded: for every evaluator, shared probe panels included, and for
-scalar or matrix beta. Each step also accumulates the two pieces of the
-path's likelihood ratio against the uncontrolled reference measure (the
-Girsanov sum for the drift and the left-Riemann integral of the quadratic
-potential); the partition-function estimator in the sampler is assembled
-from them.
+scalar or matrix beta. Each step also adds its exact term to the path's
+log weight against the uncontrolled harmonic reference process: the
+Euler Girsanov term plus the one-step Mehler-over-heat-kernel factor
+(zero at beta = 0). The weight has no discretization bias at any step
+count; the sampler's partition-function estimate is built on it.
 """
 
 import math
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, IntegrationError
+from .kernels import _harmonic_step
 from .rng import PURPOSE_INCREMENT, PURPOSE_PROBE, normal_rows
 
 
@@ -61,8 +62,7 @@ class BatchTrajectories:
     ess_series: np.ndarray  # (B_rec, R)
     max_weight_series: np.ndarray  # (B_rec, R)
     terminals: np.ndarray  # (B, d)
-    log_girsanov: np.ndarray  # (B,)
-    potential_integral: np.ndarray  # (B,)
+    log_weight: np.ndarray  # (B,) log dP_reference / dP_controlled of the path
     ess_min_per: np.ndarray  # (B,) minimum ESS over steps, per trajectory
 
 
@@ -92,7 +92,7 @@ def integrate_batch(
 
     first_trajectory offsets the noise rows, so splitting a population of
     paths into consecutive batches reproduces exactly the paths a single
-    large batch would produce.
+    large batch would produce. params sets log_weight's reference (None: free).
     """
     if dim < 1:
         raise InputError(f"dim must be >= 1, got {dim}")
@@ -118,8 +118,8 @@ def integrate_batch(
     maxw_series = np.empty((n_rec, R))
 
     x = np.zeros((B, dim))
-    gir = np.zeros(B)
-    pot = np.zeros(B)
+    log_w = np.zeros(B)
+    step_factor = None if params is None else _harmonic_step(params, dt)
     ess_min_per = np.full(B, math.inf)
 
     for k in range(K):
@@ -171,11 +171,11 @@ def integrate_batch(
                 state_norm=float(np.linalg.norm(x[i])),
                 trajectory=first_trajectory + i,
             )
-        if params is not None:
-            pot += dt * params.potential(x)
-        gir += -sqrt_dt * np.einsum("bd,bd->b", u, xi) - 0.5 * dt * np.einsum(
+        log_w += -sqrt_dt * np.einsum("bd,bd->b", u, xi) - 0.5 * dt * np.einsum(
             "bd,bd->b", u, u
         )
+        if step_factor is not None:
+            log_w += step_factor(x, x_new)
         x = x_new
 
     return BatchTrajectories(
@@ -186,8 +186,7 @@ def integrate_batch(
         ess_series=ess_series,
         max_weight_series=maxw_series,
         terminals=x,
-        log_girsanov=gir,
-        potential_integral=pot,
+        log_weight=log_w,
         ess_min_per=ess_min_per,
     )
 

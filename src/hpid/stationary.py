@@ -48,10 +48,6 @@ class ProbeGaussian:
         if not (np.all(np.isfinite(h)) and np.all(h > 0)):
             raise DomainError(f"probe precision must be positive, got {self.precision}")
 
-    @property
-    def sigma2(self):
-        return 1.0 / self.precision
-
     def draw(self, xi):
         """Map standard normals xi of shape (..., n, d) to probe samples."""
         xi = np.asarray(xi, dtype=float)

@@ -19,7 +19,9 @@ from hpid.kernels import (
     ScalarBeta,
     _abc,
     _h_probe,
+    _harmonic_step,
     _rows_matmul,
+    decompose,
     drift_prefactors,
     kernel_coeffs,
     log_g_minus,
@@ -39,9 +41,6 @@ def test_scalar_beta_validation():
         ScalarBeta(beta=float("nan"), dim=1)
     with pytest.raises(InputError):
         ScalarBeta(beta=1.0, dim=0)
-    assert ScalarBeta(beta=0.0, dim=3).is_zero
-    assert ScalarBeta(beta=1e-13, dim=3).is_zero
-    assert not ScalarBeta(beta=1e-11, dim=3).is_zero
 
 
 def test_log_g_minus_frozen_values():
@@ -178,6 +177,37 @@ def test_prefactor_product_is_a_minus(t, x):
         c1, c2 = drift_prefactors(ScalarBeta(beta=beta, dim=1), t)
         am = float(_abc(beta, 1.0 - t)[0])
         assert_allclose(c1 * c2, am, rtol=1e-12)
+
+
+@given(
+    beta=betas,
+    dt=st.floats(1e-3, 0.5),
+    d=st.integers(1, 3),
+    angle=st.floats(0.0, math.pi),
+    xy=st.lists(finite_floats, min_size=6, max_size=6),
+)
+@settings(max_examples=60)
+def test_harmonic_step_factor(beta, dt, d, angle, xy):
+    # log G^beta_dt - log G^0_dt: exactly zero without confinement, the
+    # scalar value for an isotropic matrix, and the difference of the two
+    # closed-form kernels for scalar or rotated matrix confinement
+    x, y = np.array(xy[:d]), np.array(xy[3 : 3 + d])
+    free = ScalarBeta(beta=0.0, dim=d)
+    for flat in (free, decompose(np.zeros((d, d)))):
+        assert _harmonic_step(flat, dt)(x, y) == 0.0
+    scalar = ScalarBeta(beta=beta, dim=d)
+    got = _harmonic_step(scalar, dt)(x, y)
+    iso = _harmonic_step(decompose(beta * np.eye(d)), dt)(x, y)
+    assert_allclose(iso, got, rtol=1e-12, atol=1e-12)
+    q = np.eye(d)
+    if d > 1:
+        c, s = math.cos(angle), math.sin(angle)
+        q[:2, :2] = [[c, -s], [s, c]]
+    rotated = decompose(q @ np.diag([beta, beta / 3.0, 0.0][:d]) @ q.T)
+    scale = 1.0 + (x @ x + y @ y) / dt
+    for params in (scalar, rotated):
+        want = log_g_plus(params, dt, x, y) - log_g_plus(free, dt, x, y)
+        assert abs(_harmonic_step(params, dt)(x, y) - want) <= 1e-12 * scale
 
 
 def test_delta_limit_onto_x():

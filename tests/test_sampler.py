@@ -17,7 +17,12 @@ from hpid.errors import AccuracyError, ConfigError, IntegrationError
 from hpid.kernels import ScalarBeta
 from hpid.sampler import RunConfig, estimate_z_convergence, run
 from hpid.sde import SdeConfig, integrate_batch
-from hpid.targets import GaussianEnergy, grid_mixture, load_dataset
+from hpid.targets import (
+    GaussianEnergy,
+    grid_mixture,
+    load_dataset,
+    mixture_partition_oracle,
+)
 
 
 def _gauss_cfg(**kw):
@@ -116,7 +121,8 @@ def _run_in_chunks(cfg, chunk):
     n_rows = 3  # the dataset size S of _dataset_cfg
     per_trajectory = cfg.uhis.n_is * 2 if cfg.control_mode == "uhis" else n_rows
     with mock.patch.object(sampler_mod, "_CHUNK_ELEMENTS", chunk * per_trajectory):
-        assert sampler_mod._chunk_size(cfg.control_mode, cfg, 2, n_rows) == chunk
+        evaluator = sampler_mod._validate_and_build(cfg)[2]
+        assert sampler_mod._chunk_size(evaluator, 2) == chunk
         return run(cfg)
 
 
@@ -245,6 +251,20 @@ def test_energy_output_manifest(tmp_path):
     assert doc["trajectories"] == []
 
 
+def test_one_sample_manifest_is_strict_json(tmp_path):
+    # one path has no standard error; the manifest says null, not NaN
+    out = tmp_path / "run"
+    s = run(_gauss_cfg(n_samples=1, out_dir=str(out)))
+    assert np.isnan(s.z_stderr)
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    doc = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert doc["z_stderr"] is None
+    assert doc["z_estimate"] == s.z_estimate
+
+
 def test_aborted_run_writes_manifest(tmp_path, monkeypatch):
     inner = sampler_mod.integrate_batch
 
@@ -356,6 +376,25 @@ def test_config_hash_tracks_content():
     b = run(_gauss_cfg(n_samples=2, sde=SdeConfig(n_steps=20, seed=8)))
     assert a.config_hash != b.config_hash
     assert len(a.config_hash) == 64
+
+
+def test_mixture_partition_is_unbiased_at_strong_confinement():
+    # the exact step factor leaves Z unbiased at any step count: at beta = 2
+    # and K = 25 the mean over repeats sits within a few standard errors of
+    # the oracle
+    m = grid_mixture()
+    cfg = RunConfig(
+        n_samples=500,
+        sde=SdeConfig(n_steps=25, seed=11),
+        beta=2.0,
+        energy=m,
+        control_mode="uhis",
+        uhis=UhisConfig(n_is=500, reuse_probe_noise=True),
+    )
+    rows = estimate_z_convergence(cfg, steps_list=[25], samples_list=[], n_repeats=6)
+    z = np.array([r["z"] for r in rows])
+    se = z.std(ddof=1) / np.sqrt(z.size)
+    assert abs(z.mean() - mixture_partition_oracle(m)) < 4.0 * se
 
 
 def test_convergence_sweep_rows():

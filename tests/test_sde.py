@@ -69,9 +69,8 @@ def test_uncontrolled_terminal_is_standard_normal():
     assert abs(x1.mean()) < 3.0 / np.sqrt(s)
     var = x1.var(ddof=1)
     assert abs(var - 1.0) < 3.0 * np.sqrt(2.0 / (s - 1))
-    # girsanov and potential are identically zero without control or params
-    assert np.all(batch.log_girsanov == 0.0)
-    assert np.all(batch.potential_integral == 0.0)
+    # the path weight is identically zero without control or params
+    assert np.all(batch.log_weight == 0.0)
 
 
 def test_uncontrolled_covariance_with_terminal():
@@ -88,7 +87,7 @@ def test_uncontrolled_covariance_with_terminal():
 
 
 def test_girsanov_weight_is_a_martingale():
-    # constant drift c: E[exp(log_girsanov)] = 1 restores the Wiener law
+    # constant drift c: E[exp(log_weight)] = 1 restores the Wiener law
     c = 0.8
     cfg = SdeConfig(n_steps=50, seed=21)
     batch = integrate_batch(
@@ -100,7 +99,7 @@ def test_girsanov_weight_is_a_martingale():
     # controlled dynamics shift the terminal mean to c
     se_t = batch.terminals[:, 0].std(ddof=1) / np.sqrt(4000)
     assert abs(batch.terminals[:, 0].mean() - c) < 3.5 * se_t
-    w = np.exp(batch.log_girsanov)
+    w = np.exp(batch.log_weight)
     se_w = w.std(ddof=1) / np.sqrt(w.size)
     assert abs(w.mean() - 1.0) < 3.5 * se_w
     # reweighted terminal recovers the uncontrolled mean of zero
@@ -109,22 +108,30 @@ def test_girsanov_weight_is_a_martingale():
     assert abs(rw.mean()) < 3.5 * se_rw
 
 
-def test_potential_integral_accumulates_pre_update_states():
-    # E[pot] = (beta/2) d dt^2 K(K-1)/2 for the uncontrolled process
-    beta, K, S = 2.0, 100, 10_000
-    cfg = SdeConfig(n_steps=K, seed=9)
+@pytest.mark.parametrize("potential", ["scalar", "matrix"])
+def test_log_weight_has_mehler_mass(potential):
+    # uncontrolled paths weighted by the exact step factors carry the mass
+    # of the harmonic reference at t = 1, E[exp(log_weight)] = int G_plus(1;
+    # y; 0) dy = prod_i cosh(sqrt(lambda_i))^(-1/2), even at five steps
+    if potential == "scalar":
+        params = ScalarBeta(beta=2.0, dim=1)
+    else:
+        c, s = np.cos(0.7), np.sin(0.7)
+        rot = np.array([[c, -s], [s, c]])
+        params = decompose(rot @ np.diag([0.5, 2.0]) @ rot.T)
+    S = 20_000
     batch = integrate_batch(
-        cfg,
+        SdeConfig(n_steps=5, seed=9),
         _zero_control(),
-        dim=1,
+        dim=params.dim,
         n_trajectories=S,
-        params=ScalarBeta(beta=beta, dim=1),
+        params=params,
     )
-    dt = 1.0 / K
-    want = 0.5 * beta * dt * dt * K * (K - 1) / 2.0
-    pot = batch.potential_integral
-    se = pot.std(ddof=1) / np.sqrt(S)
-    assert abs(pot.mean() - want) < 3.5 * se
+    lam = np.broadcast_to(params.eigvals, (params.dim,))
+    want = float(np.prod(np.cosh(np.sqrt(lam)) ** -0.5))
+    w = np.exp(batch.log_weight)
+    se = w.std(ddof=1) / np.sqrt(S)
+    assert abs(w.mean() - want) < 3.5 * se
 
 
 @pytest.mark.parametrize("reuse", [False, True])
@@ -158,11 +165,7 @@ def test_batch_partition_invariance(reuse):
         whole.terminals, np.concatenate([head.terminals, tail.terminals])
     )
     assert np.array_equal(
-        whole.log_girsanov, np.concatenate([head.log_girsanov, tail.log_girsanov])
-    )
-    assert np.array_equal(
-        whole.potential_integral,
-        np.concatenate([head.potential_integral, tail.potential_integral]),
+        whole.log_weight, np.concatenate([head.log_weight, tail.log_weight])
     )
     assert np.array_equal(whole.states, np.concatenate([head.states, tail.states]))
 
@@ -209,7 +212,7 @@ def test_any_batch_split_is_bitwise_invariant(kind, potential, n_split):
         )
 
     whole, head, tail = batch(0, n), batch(0, split), batch(split, n - split)
-    fields = ("terminals", "log_girsanov", "potential_integral", "states", "weighted_states")
+    fields = ("terminals", "log_weight", "states", "weighted_states")
     for name in fields:
         parts = np.concatenate([getattr(head, name), getattr(tail, name)])
         assert np.array_equal(getattr(whole, name), parts), name
@@ -232,8 +235,7 @@ def test_single_trajectory_matches_batch_row():
         record="all",
     )
     assert np.array_equal(single.terminals[0], batch.terminals[7])
-    assert single.log_girsanov[0] == batch.log_girsanov[7]
-    assert single.potential_integral[0] == batch.potential_integral[7]
+    assert single.log_weight[0] == batch.log_weight[7]
     assert np.array_equal(single.states[0], batch.states[0])
     assert np.array_equal(single.weighted_states[0], batch.weighted_states[0])
 

@@ -18,7 +18,6 @@ def test_probe_frozen_values():
     p = universal_probe(ScalarBeta(beta=1.0, dim=1), 0.5, np.array([1.0]))
     assert_allclose(p.mean, [2.255251930412761570452], rtol=1e-14)
     assert_allclose(p.precision, 0.8509181282393215451338, rtol=1e-14)
-    assert_allclose(p.sigma2, 1.0 / 0.8509181282393215451338, rtol=1e-14)
 
 
 def test_probe_flat_potential_midpoint():
