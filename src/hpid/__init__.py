@@ -47,7 +47,6 @@ from .kernels import (
     ScalarBeta,
     decompose,
     drift_prefactors,
-    kernel_coeffs,
     log_g_minus,
     log_g_plus,
     log_kernel_ratio,
@@ -120,7 +119,6 @@ __all__ = [
     "estimate_z_convergence",
     "grid_mixture",
     "integrate_batch",
-    "kernel_coeffs",
     "load_dataset",
     "log_g_minus",
     "log_g_plus",

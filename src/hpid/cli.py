@@ -29,7 +29,6 @@ from . import __version__
 from .config import (
     _CONTROLS,
     build_run_config,
-    config_sha,
     load_config_file,
     resolve,
 )
@@ -54,7 +53,7 @@ from .errors import (
 )
 from .kernels import ScalarBeta
 from .rng import normals_from
-from .sampler import estimate_z_convergence, run
+from .sampler import config_sha, estimate_z_convergence, run
 from .targets import DoubleWellEnergy, GaussianMixtureEnergy, load_dataset
 
 

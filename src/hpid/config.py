@@ -9,7 +9,6 @@ runs echo into summary.json, and feeding it back reproduces the run.
 """
 
 import configparser
-import hashlib
 import io
 import json
 import os
@@ -108,15 +107,18 @@ def load_config_file(path: str) -> dict:
                 doc = json.load(f)
             except json.JSONDecodeError as e:
                 raise ConfigError(f"{path}: not valid JSON ({e})") from None
+        if isinstance(doc, dict) and "cli_config" in doc:
+            doc = doc["cli_config"]
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: expected a JSON object")
-        if "cli_config" in doc:
-            doc = doc["cli_config"]
         bad = [s for s in doc if s not in _SECTIONS]
         if bad:
             raise ConfigError(
                 f"{path}: unknown section(s) {bad}; expected {list(_SECTIONS)}"
             )
+        for s, sec in doc.items():
+            if not isinstance(sec, dict):
+                raise ConfigError(f"{path}: section {s!r} must be an object")
         return {
             s: {str(k): _fmt(v) if not isinstance(v, str) else v
                 for k, v in sec.items()}
@@ -344,8 +346,3 @@ def config_text(normalized: dict) -> str:
             buf.write(f"{key} = {keys[key]}\n")
         buf.write("\n")
     return buf.getvalue()
-
-
-def config_sha(normalized: dict) -> str:
-    blob = json.dumps(normalized, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()

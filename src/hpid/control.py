@@ -29,16 +29,14 @@ from .errors import (
 from .kernels import (
     Potential,
     _as_points,
+    _dot,
     _ret,
     _rows_matmul,
     _validate_t,
     drift_prefactors,
     log_kernel_ratio,
 )
-from .stationary import ProbeGaussian, universal_probe
-
-# variance per axis of the wide zero-centred fallback probe
-_WIDE_SIGMA2 = 1.0
+from .stationary import universal_probe
 
 
 @dataclass(frozen=True)
@@ -49,8 +47,9 @@ class UhisConfig:
     integrator draw one (n_is, d) panel per step, shared by every
     trajectory, instead of per-trajectory blocks. Off by default because
     sharing correlates trajectories within a step. At t <= t_min, and
-    whenever the probe denominator underflows, the probe falls back to
-    the wide N(0, I). Immutable and free of random state: the noise
+    whenever the probe denominator underflows, the noise itself is the
+    draw, from the wide N(0, I), and a shared panel is one row set for
+    the whole batch. Immutable and free of random state: the noise
     always comes from the caller, so a config can be shared by threads.
     """
 
@@ -143,31 +142,22 @@ def _weighted_state(log_w, ys):
     return xhat, ess, max_w
 
 
-def _probe_or_wide(params, t, x, t_min):
-    """Universal probe when it exists, else the wide fallback; flags which."""
-    if t > t_min:
-        try:
-            return universal_probe(params, t, x), True
-        except DegenerateProbeGaussianError:
-            pass
-    wide = ProbeGaussian(
-        mean=np.zeros_like(x), precision=1.0 / _WIDE_SIGMA2, t=float(t), params=params
-    )
-    return wide, False
-
-
 def uhis_control(
     params: Potential, cfg: UhisConfig, t: float, x, energy, xi
 ) -> ControlOutput:
     """Importance-sampled optimal drift at (t, x) for an energy target.
 
-    Draws n_is points from the universal probe and weights them by
-    exp(-E(y)) alone: the kernel ratio over the probe density is constant
-    in y, so it cancels in the self-normalized weights. Only the wide
-    fallback probe carries that ratio explicitly. The drift recomposes
-    from the weighted state. xi holds the standard normals behind the
-    draws: one (n_is, d) panel shared by every point, or one block per
-    point, shape x.shape[:-1] + (n_is, d).
+    xi holds n_is standard normals per point: one (n_is, d) panel shared
+    by every point, or one block per point, shape x.shape[:-1] + (n_is, d).
+    Past t_min the universal probe maps them to its points and weights
+    them by exp(-E(y)) alone: the kernel ratio over the probe density is
+    constant in y, so it cancels in the self-normalized weights. At
+    t <= t_min, or where the universal probe degenerates, the normals
+    (in the eigenbasis) are themselves the points, a draw of the wide
+    N(0, I) that does not depend on x, weighted by the kernel ratio over
+    that density times exp(-E(y)); a shared panel is then one row set,
+    weighed once for every point. The drift recomposes from the weighted
+    state.
     """
     _validate_t(t, 0.0, 1.0, True, False)
     x = _as_points(params, "x", x)
@@ -180,26 +170,32 @@ def uhis_control(
             f"per point {owned}, got {got}"
         )
     xi = np.asarray(xi, dtype=float)
-    probe, universal = _probe_or_wide(params, t, x, cfg.t_min)
+    probe = None
+    if t > cfg.t_min:
+        try:
+            probe = universal_probe(params, t, x)
+        except DegenerateProbeGaussianError:
+            pass
     panel_fn = getattr(energy, "panel_logw", None)
-    if universal and x.ndim == 2 and xi.ndim == 2 and panel_fn is not None:
-        # the weights are exp(-E) alone, so a shared panel never
-        # materializes (B, N, d): y = mean + scale * panel row
+    if probe is None:
+        # the normals are taken in the eigenbasis, as the universal probe
+        # takes them; N(0, I)'s normalizer is constant in y and cancels
+        ys = params.from_eigenbasis(xi)
+        log_w = (
+            log_kernel_ratio(params, t, x[..., None, :], ys)
+            + 0.5 * _dot(ys, ys)
+            - np.asarray(energy.value(ys), dtype=float)
+        )
+        xhat, ess, max_w = _weighted_state(log_w, ys)
+    elif x.ndim == 2 and xi.ndim == 2 and panel_fn is not None:
+        # a shared panel never materializes (B, N, d): y = mean + scale * row
         scale, panel = probe.spread(xi)
         log_w = np.asarray(panel_fn(probe.mean, scale, panel), dtype=float)
         xbar, ess, max_w = _weighted_state(log_w, panel)
         xhat = probe.mean + scale * xbar
     else:
-        ys = probe.draw(np.broadcast_to(xi, owned))
-        energies = np.asarray(energy.value(ys), dtype=float)
-        if universal:
-            log_w = -energies
-        else:
-            log_w = (
-                log_kernel_ratio(params, t, x[..., None, :], ys)
-                - probe.log_pdf(ys)
-                - energies
-            )
+        ys = probe.draw(xi)
+        log_w = -np.asarray(energy.value(ys), dtype=float)
         xhat, ess, max_w = _weighted_state(log_w, ys)
     return _drift_output(params, t, x, xhat, ess, max_w)
 

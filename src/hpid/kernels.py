@@ -147,24 +147,6 @@ def decompose(beta_matrix) -> MatrixBeta:
     return MatrixBeta(eigvals=vals, eigvecs=vecs)
 
 
-@dataclass(frozen=True)
-class KernelCoeffs:
-    """Quadratic-form coefficients of both kernels at one time t.
-
-    The minus-side coefficients belong to G_minus(t; ., .), the plus-side
-    to G_plus(t; ., .). At t = 0 the plus side is a delta function and its
-    coefficients are infinite. Log normalizers are per dimension.
-    """
-
-    t: float
-    a_minus: float
-    b_minus: float
-    log_c_minus: float
-    a_plus: float
-    b_plus: float
-    log_c_plus: float
-
-
 def _log_sinh(a):
     """log(sinh(a)) for a > 0 without overflow: a + log(1 - e^(-2a)) - log 2."""
     a = np.asarray(a, dtype=float)
@@ -267,39 +249,6 @@ def _axes_sum(c, dim):
 def _ret(a):
     a = np.asarray(a)
     return float(a) if a.ndim == 0 else a
-
-
-def _scalar_beta(params) -> float:
-    """beta of an isotropic potential, for the routines that need one."""
-    if not isinstance(params, ScalarBeta):
-        raise InputError(
-            f"this routine needs a scalar beta (ScalarBeta), got {type(params).__name__}"
-        )
-    return params.beta
-
-
-def kernel_coeffs(params: ScalarBeta, t: float) -> KernelCoeffs:
-    """All quadratic-form coefficients at time t in [0, 1), isotropic beta.
-
-    The plus side diverges at t = 0 (delta initial condition); its entries
-    are +inf / -inf there.
-    """
-    _validate_t(t, 0.0, 1.0, True, False)
-    beta = _scalar_beta(params)
-    am, bm, lcm = _abc(beta, 1.0 - t)
-    if t > 0.0:
-        ap, bp, lcp = _abc(beta, t)
-    else:
-        ap, bp, lcp = np.inf, np.inf, -np.inf
-    return KernelCoeffs(
-        t=float(t),
-        a_minus=float(am),
-        b_minus=float(bm),
-        log_c_minus=float(lcm),
-        a_plus=float(ap),
-        b_plus=float(bp),
-        log_c_plus=float(lcp),
-    )
 
 
 def _log_g(params: Potential, tau, x, y):

@@ -122,7 +122,8 @@ def _canonical_config(cfg: RunConfig, dim: int, target_desc: dict) -> dict:
     return c
 
 
-def _config_hash(canonical: dict) -> str:
+def config_sha(canonical: dict) -> str:
+    """SHA-256 of a config mapping's sorted, compact JSON."""
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -205,7 +206,7 @@ def _write_aborted(cfg: RunConfig, canonical, err: Exception, done: int):
         "failed_trajectory": getattr(err, "trajectory", None),
         "trajectories_completed": done,
         "config": canonical,
-        "config_sha256": _config_hash(canonical),
+        "config_sha256": config_sha(canonical),
     }
     with open(os.path.join(cfg.out_dir, "summary.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -257,7 +258,7 @@ def run(cfg: RunConfig) -> RunSummary:
     """Simulate cfg.n_samples independent trajectories and collect results."""
     params, dim, evaluator, energy, desc = _validate_and_build(cfg)
     canonical = _canonical_config(cfg, dim, desc)
-    chash = _config_hash(canonical)
+    chash = config_sha(canonical)
     S = cfg.n_samples
     chunk = _chunk_size(evaluator, dim)
     starts = list(range(0, S, chunk))
@@ -327,7 +328,8 @@ def estimate_z_convergence(
     Returns boxplot-ready rows {sweep, setting, repeat, z}; the steps
     sweep holds n_samples at cfg.n_samples, the samples sweep holds
     n_steps at cfg.sde.n_steps. Every (setting, repeat) cell gets its own
-    seed derived from cfg.sde.seed.
+    seed derived from cfg.sde.seed. Energy targets only: a dataset target
+    has no partition function.
     """
     steps_list = list(steps_list)
     samples_list = list(samples_list)
@@ -335,6 +337,8 @@ def estimate_z_convergence(
         raise ConfigError("at least one sweep list must be nonempty")
     if n_repeats < 1:
         raise ConfigError(f"n_repeats must be >= 1, got {n_repeats}")
+    if cfg.dataset is not None:
+        raise ConfigError("a dataset target has no partition function")
 
     rows = []
     setting_index = 0

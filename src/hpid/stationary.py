@@ -6,23 +6,19 @@ and its x-independent curvature h(t, lambda) per eigen-axis define the
 Gaussian probe used for importance sampling of the optimal drift.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateProbeGaussianError, DomainError
 from .kernels import (
-    _LOG_2PI,
     BETA_ZERO_TOL,
     Potential,
     _as_points,
-    _axes_sum,
     _h_probe,
     _log_sinh,
     _ret,
     _validate_t,
-    _wsum,
 )
 
 DEGENERATE_DENOM_TOL = 1e-12
@@ -32,6 +28,8 @@ DEGENERATE_DENOM_TOL = 1e-12
 class ProbeGaussian:
     """Gaussian N(mean, C), C diagonal in the potential's eigenbasis.
 
+    The universal probe at one time t: only its draws are used, because
+    its density cancels against the kernel ratio in the drift weights.
     precision holds the inverse variances per eigen-axis: a float when the
     probe is isotropic, shape (d,) otherwise. mean may carry leading batch
     axes (..., d); the precision is shared because the curvature at y*
@@ -40,7 +38,6 @@ class ProbeGaussian:
 
     mean: np.ndarray
     precision: float | np.ndarray
-    t: float
     params: Potential
 
     def __post_init__(self):
@@ -49,12 +46,11 @@ class ProbeGaussian:
             raise DomainError(f"probe precision must be positive, got {self.precision}")
 
     def draw(self, xi):
-        """Map standard normals xi of shape (..., n, d) to probe samples."""
+        """Map standard normals xi to probe samples, mean.shape[:-1] + (n, d):
+        one (n, d) panel shared by every mean, or one (..., n, d) block each."""
         xi = np.asarray(xi, dtype=float)
-        mean = self.mean
-        if xi.ndim == mean.ndim + 1:
-            mean = mean[..., None, :]
-        return mean + self.params.from_eigenbasis(xi / np.sqrt(self.precision))
+        offset = self.params.from_eigenbasis(xi / np.sqrt(self.precision))
+        return self.mean[..., None, :] + offset
 
     def spread(self, panel):
         """(scale, block) with draw(panel) == mean + scale * block for one
@@ -64,18 +60,6 @@ class ProbeGaussian:
         if np.ndim(h) == 0:
             return 1.0 / np.sqrt(h), self.params.from_eigenbasis(panel)
         return 1.0, self.params.from_eigenbasis(panel / np.sqrt(h))
-
-    def log_pdf(self, y):
-        y = np.asarray(y, dtype=float)
-        mean = self.mean
-        if y.ndim == mean.ndim + 1:
-            mean = mean[..., None, :]
-        d = y.shape[-1]
-        diff = self.params.to_eigenbasis(y - mean)
-        h = self.precision
-        # math.log for a float: numpy's log can differ from it in the last bit
-        log_h = math.log(h) if np.ndim(h) == 0 else np.log(h)
-        return 0.5 * _axes_sum(log_h - _LOG_2PI, d) - 0.5 * _wsum(h, (diff, diff))
 
 
 def _probe_denominator(beta, t):
@@ -95,7 +79,7 @@ def universal_probe(params: Potential, t: float, x) -> ProbeGaussian:
     ctnh(sqrt(lambda)), computed as sinh(t sqrt(lambda))/sinh(sqrt(lambda))
     which is the same quantity without cancellation; lambda = 0 gives mean
     x/t, precision t/(1-t). Raises when D underflows (t too small):
-    callers fall back to a wide probe.
+    callers fall back to the wide N(0, I).
     """
     _validate_t(t, 0.0, 1.0, False, False)
     x = _as_points(params, "x", x)
@@ -107,4 +91,4 @@ def universal_probe(params: Potential, t: float, x) -> ProbeGaussian:
         )
     mean = params.from_eigenbasis(params.to_eigenbasis(x) / denom)
     precision = _ret(_h_probe(params.eigvals, t))
-    return ProbeGaussian(mean=mean, precision=precision, t=float(t), params=params)
+    return ProbeGaussian(mean=mean, precision=precision, params=params)

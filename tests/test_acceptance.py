@@ -29,7 +29,6 @@ from hpid.kernels import (
     ScalarBeta,
     decompose,
     drift_prefactors,
-    kernel_coeffs,
     log_g_minus,
     log_g_plus,
     log_kernel_ratio,
@@ -280,11 +279,6 @@ def test_zero_confinement_limit_continuity():
         close(log_g_plus(small, t, x, y), log_g_plus(zero, t, x, y))
         close(log_kernel_ratio(small, t, x, y), log_kernel_ratio(zero, t, x, y))
         close(drift_prefactors(small, t), drift_prefactors(zero, t))
-        ca, cb = kernel_coeffs(small, t), kernel_coeffs(zero, t)
-        close(
-            (ca.a_minus, ca.b_minus, ca.log_c_minus, ca.a_plus, ca.b_plus, ca.log_c_plus),
-            (cb.a_minus, cb.b_minus, cb.log_c_minus, cb.a_plus, cb.b_plus, cb.log_c_plus),
-        )
         pa, pb = universal_probe(small, t, x), universal_probe(zero, t, x)
         close((pa.mean[0], pa.precision), (pb.mean[0], pb.precision))
         ua = uhis_control(small, UhisConfig(n_is=64), t, x, energy, xi=xi)

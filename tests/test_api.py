@@ -44,7 +44,6 @@ PUBLIC = [
     "estimate_z_convergence",
     "grid_mixture",
     "integrate_batch",
-    "kernel_coeffs",
     "load_dataset",
     "log_g_minus",
     "log_g_plus",
@@ -62,7 +61,7 @@ PUBLIC = [
 
 
 def test_public_api_is_pinned():
-    assert len(hpid.__all__) == 52
+    assert len(hpid.__all__) == 51
     assert hpid.__all__ == PUBLIC
     missing = [name for name in PUBLIC if not hasattr(hpid, name)]
     assert missing == []

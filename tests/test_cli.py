@@ -420,6 +420,16 @@ def test_estimate_z_bad_list(tmp_path, capsys):
     assert "is not an integer" in capsys.readouterr().err
 
 
+def test_estimate_z_refuses_a_dataset_target(tmp_path, capsys):
+    data = str(tmp_path / "gt.csv")
+    save_dataset(data, np.array([[1.0, 0.0], [-1.0, 0.5]]))
+    manifest = f"[target]\nkind = dataset\ndata = {data}\n\n[run]\nsamples = 4\nsteps = 4\n"
+    cfg = _write(tmp_path, "d.ini", manifest)
+    rc = main(["estimate-z", "--config", cfg, "--steps-list", "4", "--threads", "1"])
+    assert rc == 2
+    assert "no partition function" in capsys.readouterr().err
+
+
 def test_oracle_check(tmp_path, capsys):
     out = str(tmp_path / "oracle.csv")
     rc = main(

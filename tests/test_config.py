@@ -5,12 +5,12 @@ import pytest
 
 from hpid.config import (
     build_run_config,
-    config_sha,
     config_text,
     load_config_file,
     resolve,
 )
 from hpid.errors import ConfigError
+from hpid.sampler import config_sha
 from hpid.targets import DoubleWellEnergy, GaussianEnergy, GaussianMixtureEnergy
 
 
@@ -76,6 +76,16 @@ def test_summary_json_echo_reads_back(tmp_path):
         load_config_file(str(arr))
     with pytest.raises(ConfigError, match="not found"):
         load_config_file(str(tmp_path / "missing.ini"))
+
+
+def test_json_section_must_be_an_object(tmp_path):
+    path = tmp_path / "run5.json"
+    path.write_text(json.dumps({"run": 5}))
+    with pytest.raises(ConfigError, match="'run'"):
+        load_config_file(str(path))
+    path.write_text(json.dumps({"cli_config": 5}))
+    with pytest.raises(ConfigError, match="JSON object"):
+        load_config_file(str(path))
 
 
 def test_unknown_sections_and_keys(tmp_path):

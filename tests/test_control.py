@@ -148,13 +148,17 @@ def test_uhis_all_weights_vanish():
 
 
 class _PanelCounter:
-    """Energy proxy that counts the factorized shared-panel calls."""
+    """Energy proxy that counts the factorized shared-panel calls and the
+    points that value is evaluated on."""
 
     def __init__(self, inner):
         self.inner = inner
         self.panel_calls = 0
+        self.value_points = 0
 
     def value(self, y):
+        y = np.asarray(y, dtype=float)
+        self.value_points += y.size // y.shape[-1]
         return self.inner.value(y)
 
     def panel_logw(self, means, scale, panel):
@@ -199,8 +203,13 @@ def test_uhis_wide_fallback_below_t_min():
     block = normals_from(np.random.default_rng(3), (64, 2))
     owned = np.array(np.broadcast_to(block, (4, 64, 2)))
     x = np.random.default_rng(4).normal(size=(4, 2))
-    a = uhis_control(params, cfg, 0.1, x, _mixture2(), xi=block)
-    b = uhis_control(params, cfg, 0.1, x, _mixture2(), xi=owned)
+    energy = _PanelCounter(_mixture2())
+    a = uhis_control(params, cfg, 0.1, x, energy, xi=block)
+    # a shared panel is one row set: the energy sees each point once,
+    # not once per trajectory
+    assert energy.value_points == 64
+    b = uhis_control(params, cfg, 0.1, x, energy, xi=owned)
+    assert energy.value_points == 64 + 4 * 64
     assert_allclose(a.drift, b.drift, rtol=1e-12)
     assert np.isfinite(a.drift).all()
 

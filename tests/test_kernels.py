@@ -15,7 +15,6 @@ from numpy.testing import assert_allclose
 from hpid.errors import DomainError, InputError
 from hpid.kernels import (
     BETA_ZERO_TOL,
-    KernelCoeffs,
     ScalarBeta,
     _abc,
     _h_probe,
@@ -23,7 +22,6 @@ from hpid.kernels import (
     _rows_matmul,
     decompose,
     drift_prefactors,
-    kernel_coeffs,
     log_g_minus,
     log_g_plus,
     log_kernel_ratio,
@@ -94,14 +92,6 @@ def test_beta_zero_prefactors():
     c1, c2 = drift_prefactors(ScalarBeta(beta=0.0, dim=1), 0.75)
     assert_allclose(c1, 4.0, rtol=1e-15)
     assert c2 == 1.0
-
-
-def test_kernel_coeffs_plus_side_delta_at_zero():
-    c = kernel_coeffs(ScalarBeta(beta=1.0, dim=1), 0.0)
-    assert isinstance(c, KernelCoeffs)
-    assert c.a_plus == math.inf and c.b_plus == math.inf
-    assert c.log_c_plus == -math.inf
-    assert np.isfinite([c.a_minus, c.b_minus, c.log_c_minus]).all()
 
 
 def test_time_domain_is_enforced():
@@ -247,8 +237,6 @@ def test_large_beta_stays_finite():
     p = ScalarBeta(beta=100.0, dim=1)
     v = log_g_minus(p, 0.5, 1.0, 1.0)
     assert np.isfinite(v)
-    c = kernel_coeffs(p, 0.5)
-    assert np.isfinite([c.a_minus, c.b_minus, c.log_c_minus]).all()
 
 
 def test_high_dimension_log_domain():

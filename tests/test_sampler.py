@@ -414,3 +414,13 @@ def test_convergence_sweep_rows():
         estimate_z_convergence(cfg, [], [], 2)
     with pytest.raises(ConfigError):
         estimate_z_convergence(cfg, [8], [], 0)
+
+
+def test_convergence_sweep_refuses_a_dataset_target(monkeypatch):
+    # a dataset target has no Z: the sweep refuses it before any run
+    def no_run(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(sampler_mod, "run", no_run)
+    with pytest.raises(ConfigError, match="no partition function"):
+        estimate_z_convergence(_dataset_cfg(), [8], [], 1)

@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hpid.errors import DegenerateProbeGaussianError, InputError
-from hpid.kernels import ScalarBeta, _h_probe, decompose, kernel_coeffs
+from hpid.errors import DegenerateProbeGaussianError
+from hpid.kernels import ScalarBeta, _h_probe, decompose
 from hpid.stationary import universal_probe
 
 
@@ -54,17 +54,19 @@ def test_probe_degenerates_near_t_zero():
         universal_probe(ScalarBeta(beta=1.0, dim=1), 1e-14, np.array([1.0]))
 
 
-def test_probe_draw_and_log_pdf():
+def test_probe_draw():
     p = universal_probe(ScalarBeta(beta=0.0, dim=2), 0.5, np.array([2.0, 0.0]))
     xi = np.array([[0.5, -0.5], [0.0, 1.0]])
     got = p.draw(xi)
     assert_allclose(got, p.mean + xi / np.sqrt(p.precision), rtol=1e-15)
-    # density against the explicit Gaussian formula
-    y = np.array([3.5, 0.5])
-    want = -0.5 * p.precision * np.sum((y - p.mean) ** 2) - np.log(
-        2 * np.pi / p.precision
-    )
-    assert_allclose(p.log_pdf(y), want, rtol=1e-13)
+    # a batch of means shares one panel, or takes one block each
+    xs = np.array([[2.0, 0.0], [0.0, 1.0], [-1.0, 3.0]])
+    batch = universal_probe(ScalarBeta(beta=0.0, dim=2), 0.5, xs)
+    shared = batch.draw(xi)
+    assert shared.shape == (3, 2, 2)
+    assert np.array_equal(shared, batch.draw(np.broadcast_to(xi, (3, 2, 2))))
+    for i in range(3):
+        assert_allclose(shared[i], batch.mean[i] + xi / np.sqrt(p.precision), rtol=1e-15)
 
 
 def test_probe_batched_x():
@@ -82,10 +84,3 @@ def test_general_probe_matches_scalar_when_isotropic():
     general = universal_probe(decompose(0.9 * np.eye(3)), 0.3, np.array([1.0, -2.0, 0.5]))
     assert_allclose(general.mean, scalar.mean, rtol=1e-12)
     assert_allclose(general.precision, np.full(3, scalar.precision), rtol=1e-12)
-
-
-def test_scalar_only_routines_reject_matrix_beta():
-    # the coefficient record takes one scalar curvature
-    matrix = decompose(np.diag([0.5, 0.5]))
-    with pytest.raises(InputError, match="scalar beta"):
-        kernel_coeffs(matrix, 0.5)
