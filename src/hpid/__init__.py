@@ -71,7 +71,6 @@ from .targets import (
     Energy,
     GaussianEnergy,
     GaussianMixtureEnergy,
-    OffsetEnergy,
     grid_mixture,
     load_dataset,
     mixture_partition_oracle,
@@ -101,7 +100,6 @@ __all__ = [
     "IntegrationError",
     "MatrixBeta",
     "ModeHistogram",
-    "OffsetEnergy",
     "ProbeGaussian",
     "QuadratureControlEvaluator",
     "QuadratureGrid",

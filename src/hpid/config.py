@@ -9,7 +9,6 @@ runs echo into summary.json, and feeding it back reproduces the run.
 """
 
 import configparser
-import io
 import json
 import os
 
@@ -333,16 +332,3 @@ def build_run_config(normalized: dict, threads: int = 1) -> RunConfig:
         n_record=record,
     )
 
-
-def config_text(normalized: dict) -> str:
-    """Deterministic manifest text that parses back to the same mapping."""
-    buf = io.StringIO()
-    for section in _SECTIONS:
-        keys = normalized.get(section, {})
-        if not keys:
-            continue
-        buf.write(f"[{section}]\n")
-        for key in sorted(keys):
-            buf.write(f"{key} = {keys[key]}\n")
-        buf.write("\n")
-    return buf.getvalue()

@@ -31,6 +31,7 @@ from .kernels import (
     _as_points,
     _dot,
     _ret,
+    _row_tiles,
     _rows_matmul,
     _validate_t,
     drift_prefactors,
@@ -105,14 +106,16 @@ class ControlOutput:
         return self.ess < 1.5
 
 
-def _softmax_weights(log_w):
-    """Normalized weights from log_w (..., n) plus ESS and max diagnostics."""
+def _softmax_weights(log_w, out=None):
+    """Normalized weights from log_w (..., n) plus ESS and max diagnostics;
+    out, if given, receives the weights."""
     m = np.max(log_w, axis=-1, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise AccuracyError(
             "all importance weights vanished; energy is non-finite on every sample"
         )
-    w = np.exp(log_w - m)
+    w = np.subtract(log_w, m, out=out)
+    np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
     ess = 1.0 / np.einsum("...n,...n->...", w, w)
     return w, ess, w.max(axis=-1)
@@ -133,13 +136,28 @@ def _drift_output(params: Potential, t, x, xhat, ess, max_w) -> ControlOutput:
 
 def _weighted_state(log_w, ys):
     """Softmax weights of log_w (..., n) and their average of ys: one
-    (n, d) row set shared by every index, or one (..., n, d) block each."""
-    w, ess, max_w = _softmax_weights(log_w)
-    if ys.ndim == 2:
-        xhat = _rows_matmul(w, ys)
-    else:
-        xhat = np.einsum("...n,...nd->...d", w, ys)
-    return xhat, ess, max_w
+    (n, d) row set shared by every index, or one (..., n, d) block each.
+
+    log_w is consumed: its rows are turned into their weights in place,
+    one tile of kernels._KERNEL_TILE rows at a time, so no (..., n)
+    temporary is made. Every row's bits are those of the untiled softmax
+    and contraction.
+    """
+    n, d = log_w.shape[-1], ys.shape[-1]
+    lead = log_w.shape[:-1]
+    flat = log_w.reshape(-1, n)
+    m = flat.shape[0]
+    blocks = ys if ys.ndim == 2 else ys.reshape(m, n, d)
+    xhat = np.empty((m, d))
+    ess = np.empty(m)
+    max_w = np.empty(m)
+    for rows in _row_tiles(m):
+        w, ess[rows], max_w[rows] = _softmax_weights(flat[rows], out=flat[rows])
+        if ys.ndim == 2:
+            _rows_matmul(w, ys, out=xhat[rows])
+        else:
+            np.einsum("bn,bnd->bd", w, blocks[rows], out=xhat[rows])
+    return xhat.reshape(lead + (d,)), ess.reshape(lead), max_w.reshape(lead)
 
 
 def uhis_control(

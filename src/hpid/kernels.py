@@ -39,13 +39,16 @@ _LOG_2 = float(np.log(2.0))
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 _ROW_TILE = 16  # rows per GEMM in _rows_matmul
+# rows per tile of the (B, N) weight kernels; a multiple of _ROW_TILE, so a
+# tile's GEMMs see the same 16-row groups the whole block would
+_KERNEL_TILE = 4 * _ROW_TILE
 
 _EIG_CLAMP = 1e-12  # eigenvalues above -this are clamped to zero
 _EIG_REJECT = -1e-8  # eigenvalues below this reject the matrix
 _SYM_TOL = 1e-10
 
 
-def _rows_matmul(a, b):
+def _rows_matmul(a, b, out=None):
     """a @ b for a of shape (..., k) and b (k, n), one GEMM per 16-row tile.
 
     BLAS rounds a row differently depending on how many rows its product
@@ -53,14 +56,16 @@ def _rows_matmul(a, b):
     split. Every GEMM here sees exactly _ROW_TILE rows (full tiles as one
     stacked matmul, the last partial tile zero-padded), so each result row
     depends bitwise on its own row of a and on b alone. Every product over
-    trajectory rows goes through here.
+    trajectory rows goes through here. out, if given, is a C-contiguous
+    (rows of a, n) array that receives the result.
     """
     a = np.asarray(a, dtype=float)
     k, n = b.shape
     flat = a.reshape(-1, k)
     m = flat.shape[0]
     full = m - m % _ROW_TILE
-    out = np.empty((m, n))
+    if out is None:
+        out = np.empty((m, n))
     if full:
         tiles = flat[:full].reshape(-1, _ROW_TILE, k)
         np.matmul(tiles, b, out=out[:full].reshape(-1, _ROW_TILE, n))
@@ -69,6 +74,11 @@ def _rows_matmul(a, b):
         tail[: m - full] = flat[full:]
         out[full:] = (tail @ b)[: m - full]
     return out.reshape(a.shape[:-1] + (n,))
+
+
+def _row_tiles(m):
+    """Consecutive slices of at most _KERNEL_TILE rows covering range(m)."""
+    return [slice(lo, min(lo + _KERNEL_TILE, m)) for lo in range(0, m, _KERNEL_TILE)]
 
 
 @dataclass(frozen=True)
@@ -266,15 +276,16 @@ def _log_g(params: Potential, tau, x, y):
 
 def _harmonic_step(params: Potential, dt: float):
     """f(x, y) = log G^beta_dt(x; y) - log G^0_dt(x; y) per row of (..., d): the
-    exact factor from a free one-step transition to the harmonic one. At
-    beta = 0 both coefficient sets are identical and f is exactly zero."""
+    exact factor from a free one-step transition to the harmonic one. x and
+    y are given in the eigenbasis (params.to_eigenbasis), so a path rotates
+    each of its states once. At beta = 0 both coefficient sets are
+    identical and f is exactly zero."""
     a, b, log_c = _abc(params.eigvals, dt)
     a0, b0, log_c0 = _abc(0.0, dt)
     da, db = a - a0, b - b0
     dlc = _axes_sum(log_c - log_c0, params.dim)
 
     def factor(x, y):
-        x, y = params.to_eigenbasis(x), params.to_eigenbasis(y)
         return -0.5 * _wsum(da, (x, x), (y, y)) + _wsum(db, (x, y)) - dlc
 
     return factor

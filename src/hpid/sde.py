@@ -120,6 +120,7 @@ def integrate_batch(
     x = np.zeros((B, dim))
     log_w = np.zeros(B)
     step_factor = None if params is None else _harmonic_step(params, dt)
+    x_eig = None if params is None else params.to_eigenbasis(x)
     ess_min_per = np.full(B, math.inf)
 
     for k in range(K):
@@ -175,7 +176,10 @@ def integrate_batch(
             "bd,bd->b", u, u
         )
         if step_factor is not None:
-            log_w += step_factor(x, x_new)
+            # each state is rotated into the eigenbasis once and carried
+            x_new_eig = params.to_eigenbasis(x_new)
+            log_w += step_factor(x_eig, x_new_eig)
+            x_eig = x_new_eig
         x = x_new
 
     return BatchTrajectories(

@@ -20,7 +20,7 @@ from scipy.special import logsumexp
 
 from .control import EmpiricalTarget
 from .errors import AccuracyError, FormatError, InputError
-from .kernels import _rows_matmul
+from .kernels import _KERNEL_TILE, _row_tiles, _rows_matmul
 
 DATASET_MAGIC = b"HPID"
 DATASET_VERSION = 1
@@ -38,15 +38,29 @@ class Energy:
     equal to -E(means[i] + scale * panel[n]) up to an additive per-row
     constant, with means (B, d), scalar scale > 0, panel (N, d). The
     self-normalized drift estimate uses it, when present, to avoid
-    materializing the (B, N, d) sample block. Row i must depend on
-    means[i] alone, bitwise, so every product over the rows of means is
-    formed with kernels._rows_matmul, never a plain matmul.
+    materializing the (B, N, d) sample block: it is called once per
+    integrator step for the whole batch, and must return a new writable
+    array, which the caller turns into the weights in place. Row i must
+    depend on means[i] alone, bitwise, so every product over the rows of
+    means is formed with kernels._rows_matmul, never a plain matmul. The
+    built-in energies allocate only the (B, N) result and build it in
+    place, one tile of kernels._KERNEL_TILE rows at a time; the tile
+    changes no bit.
     """
 
     dim: int
 
     def value(self, y):
         raise NotImplementedError
+
+
+def _panel_quadratic(out, rows, panel, s, ssq, sigma2):
+    """out = -(2 s rows @ panel.T + ssq) / (2 sigma2), formed in place."""
+    _rows_matmul(rows, panel.T, out=out)
+    out *= 2.0 * s
+    out += ssq
+    np.negative(out, out=out)
+    out /= 2.0 * sigma2
 
 
 class GaussianEnergy(Energy):
@@ -70,9 +84,11 @@ class GaussianEnergy(Energy):
         dm = np.asarray(means, dtype=float) - self.mean
         panel = np.asarray(panel, dtype=float)
         s = float(scale)
-        pansq = np.einsum("ni,ni->n", panel, panel)
-        cross = _rows_matmul(dm, panel.T)
-        return -(2.0 * s * cross + s * s * pansq) / (2.0 * self.sigma2)
+        ssq = s * s * np.einsum("ni,ni->n", panel, panel)
+        out = np.empty((dm.shape[0], panel.shape[0]))
+        for rows in _row_tiles(dm.shape[0]):
+            _panel_quadratic(out[rows], dm[rows], panel, s, ssq, self.sigma2)
+        return out
 
 
 class DoubleWellEnergy(Energy):
@@ -140,7 +156,8 @@ class GaussianMixtureEnergy(Energy):
     def panel_logw(self, means, scale, panel):
         # -E(y) = -|y|^2/(2 s2) + logsumexp_j[log w_j + (y.c_j - |c_j|^2/2)/s2];
         # with y = m_i + s xi_n the j-sum splits into a rank-M product, so the
-        # whole (B, N) block is two small GEMMs plus one elementwise log.
+        # whole (B, N) block is two small GEMMs plus one elementwise log, each
+        # row tile formed in place as ((q + ash) + bsh) + log r.
         means = np.asarray(means, dtype=float)
         panel = np.asarray(panel, dtype=float)
         s = float(scale)
@@ -153,23 +170,21 @@ class GaussianMixtureEnergy(Energy):
         bmat = (s / s2) * (panel @ c.T)
         ash = amat.max(axis=1)
         bsh = bmat.max(axis=1)
-        r = _rows_matmul(np.exp(amat - ash[:, None]), np.exp(bmat - bsh[:, None]).T)
-        pansq = np.einsum("ni,ni->n", panel, panel)
-        q = -(2.0 * s * _rows_matmul(means, panel.T) + s * s * pansq) / (2.0 * s2)
-        with np.errstate(divide="ignore"):  # underflown products drop out
-            return q + ash[:, None] + bsh[None, :] + np.log(r)
-
-
-class OffsetEnergy(Energy):
-    """base energy plus a constant; the sampler's output law is unchanged."""
-
-    def __init__(self, base: Energy, offset: float):
-        self.base = base
-        self.offset = float(offset)
-        self.dim = base.dim
-
-    def value(self, y):
-        return np.asarray(self.base.value(y), dtype=float) + self.offset
+        ea = np.exp(amat - ash[:, None])
+        ebt = np.exp(bmat - bsh[:, None]).T
+        ssq = s * s * np.einsum("ni,ni->n", panel, panel)
+        out = np.empty((means.shape[0], panel.shape[0]))
+        r = np.empty((min(_KERNEL_TILE, means.shape[0]), panel.shape[0]))
+        for rows in _row_tiles(means.shape[0]):
+            q = out[rows]
+            _panel_quadratic(q, means[rows], panel, s, ssq, s2)
+            q += ash[rows, None]
+            q += bsh
+            rt = _rows_matmul(ea[rows], ebt, out=r[: len(q)])
+            with np.errstate(divide="ignore"):  # underflown products drop out
+                np.log(rt, out=rt)
+            q += rt
+        return out
 
 
 def grid_mixture(

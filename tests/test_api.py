@@ -26,7 +26,6 @@ PUBLIC = [
     "IntegrationError",
     "MatrixBeta",
     "ModeHistogram",
-    "OffsetEnergy",
     "ProbeGaussian",
     "QuadratureControlEvaluator",
     "QuadratureGrid",
@@ -61,7 +60,7 @@ PUBLIC = [
 
 
 def test_public_api_is_pinned():
-    assert len(hpid.__all__) == 51
+    assert len(hpid.__all__) == 50
     assert hpid.__all__ == PUBLIC
     missing = [name for name in PUBLIC if not hasattr(hpid, name)]
     assert missing == []

@@ -1,17 +1,32 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
 from hpid.config import (
+    _SECTIONS,
     build_run_config,
-    config_text,
     load_config_file,
     resolve,
 )
 from hpid.errors import ConfigError
 from hpid.sampler import config_sha
 from hpid.targets import DoubleWellEnergy, GaussianEnergy, GaussianMixtureEnergy
+
+
+def config_text(normalized: dict) -> str:
+    """Deterministic manifest text that parses back to the same mapping."""
+    buf = io.StringIO()
+    for section in _SECTIONS:
+        keys = normalized.get(section, {})
+        if not keys:
+            continue
+        buf.write(f"[{section}]\n")
+        for key in sorted(keys):
+            buf.write(f"{key} = {keys[key]}\n")
+        buf.write("\n")
+    return buf.getvalue()
 
 
 def _energy_raw(**run):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+import hpid.control
 from hpid.control import (
     ControlOutput,
     EmpiricalControlEvaluator,
@@ -21,20 +22,34 @@ from hpid.control import (
     QuadratureGrid,
     UhisConfig,
     UhisControlEvaluator,
+    _softmax_weights,
+    _weighted_state,
     empirical_control,
     quadrature_control,
     uhis_control,
 )
 from hpid.errors import AccuracyError, InputError
-from hpid.kernels import ScalarBeta, decompose, drift_prefactors
+from hpid.kernels import ScalarBeta, _rows_matmul, decompose, drift_prefactors
 from hpid.rng import normals_from
 from hpid.stationary import universal_probe
 from hpid.targets import (
     DoubleWellEnergy,
+    Energy,
     GaussianEnergy,
     GaussianMixtureEnergy,
-    OffsetEnergy,
 )
+
+
+class OffsetEnergy(Energy):
+    """base energy plus a constant; the sampler's output law is unchanged."""
+
+    def __init__(self, base: Energy, offset: float):
+        self.base = base
+        self.offset = float(offset)
+        self.dim = base.dim
+
+    def value(self, y):
+        return np.asarray(self.base.value(y), dtype=float) + self.offset
 
 
 def _mixture2():
@@ -103,6 +118,14 @@ def test_uhis_weighted_state_in_sample_hull():
     assert np.array_equal(out2.drift, c1 * (out2.weighted_state - c2 * x))
 
 
+def test_offset_energy_shifts_value_only():
+    base = DoubleWellEnergy(dim=2)
+    off = OffsetEnergy(base, -3.5)
+    y = np.array([0.7, -1.2])
+    assert_allclose(off.value(y), base.value(y) - 3.5, rtol=1e-15)
+    assert off.dim == 2
+
+
 def test_uhis_additive_energy_invariance():
     # self-normalized weights cancel any constant added to the energy;
     # the shift lands before the softmax max-shift, so agreement is to
@@ -166,6 +189,37 @@ class _PanelCounter:
         return self.inner.panel_logw(means, scale, panel)
 
 
+@pytest.mark.parametrize("shared", [True, False], ids=["row_set", "blocks"])
+@pytest.mark.parametrize("B", [1, 15, 63, 64, 65, 130])
+def test_weighted_state_tiles_change_no_bit(B, shared):
+    # the tiled kernel against the untiled softmax and contraction, one row
+    # at a time: a row's bits must not depend on its tile or on B
+    rng = np.random.default_rng(B)
+    n, d = 200, 3
+    log_w = 30.0 * rng.normal(size=(B, n))
+    log_w[:, ::7] = -np.inf  # underflown weights drop out
+    ys = rng.normal(size=(n, d) if shared else (B, n, d))
+    xhat, ess, max_w = _weighted_state(log_w.copy(), ys)  # consumes its block
+    assert xhat.shape == (B, d) and ess.shape == max_w.shape == (B,)
+    for i in range(B):
+        w, ref_ess, ref_max = _softmax_weights(log_w[i : i + 1])
+        if shared:
+            ref = _rows_matmul(w, ys)
+        else:
+            ref = np.einsum("...n,...nd->...d", w, ys[i : i + 1])
+        assert np.array_equal(xhat[i], ref[0])
+        assert ess[i] == ref_ess[0] and max_w[i] == ref_max[0]
+
+
+def test_weighted_state_raises_for_a_dead_row_in_a_later_tile():
+    ys = np.random.default_rng(2).normal(size=(16, 2))
+    for bad in (-np.inf, np.nan):
+        log_w = np.zeros((130, 16))
+        log_w[129] = bad
+        with pytest.raises(AccuracyError):
+            _weighted_state(log_w, ys)
+
+
 def test_uhis_shared_panel_matches_owned_noise():
     # one (n_is, d) panel shared by the batch rides a factorized fast path;
     # a per-point copy of the identical numbers takes the generic path
@@ -193,6 +247,34 @@ def test_uhis_shared_panel_matches_owned_noise():
                 assert_allclose(a.max_weight, b.max_weight, rtol=5e-9)
         # the shared panel took the fast path every time, the owned block never
         assert energy.panel_calls == len(potentials) * 3
+
+
+def test_one_log_weight_call_per_control_call(monkeypatch):
+    # the kernel tiles its rows inside one panel_logw or log_kernel_ratio
+    # call; a batch wider than a tile must not split the call
+    ratio_calls = []
+    inner = hpid.control.log_kernel_ratio
+
+    def counting(*args):
+        ratio_calls.append(args[1])
+        return inner(*args)
+
+    monkeypatch.setattr(hpid.control, "log_kernel_ratio", counting)
+    B = 130
+    params = ScalarBeta(beta=0.7, dim=2)
+    x = np.random.default_rng(8).normal(size=(B, 2))
+    block = normals_from(np.random.default_rng(9), (64, 2))
+    energy = _PanelCounter(_mixture2())
+    shared = uhis_control(params, UhisConfig(n_is=64), 0.5, x, energy, xi=block)
+    assert energy.panel_calls == 1 and energy.value_points == 0
+    assert ratio_calls == []
+    wide = uhis_control(params, UhisConfig(n_is=64, t_min=0.6), 0.5, x, energy, block)
+    assert energy.panel_calls == 1 and ratio_calls == [0.5]
+    target = EmpiricalTarget(np.random.default_rng(10).normal(size=(40, 2)))
+    empirical = empirical_control(params, target, 0.5, x)
+    assert ratio_calls == [0.5, 0.5]
+    for out in (shared, wide, empirical):
+        assert out.weighted_state.shape == (B, 2) and out.ess.shape == (B,)
 
 
 def test_uhis_wide_fallback_below_t_min():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,8 @@ from hpid.control import (
     UhisControlEvaluator,
 )
 from hpid.errors import InputError, IntegrationError
-from hpid.kernels import ScalarBeta, decompose
+from hpid.kernels import MatrixBeta, ScalarBeta, _harmonic_step, decompose
+from hpid.rng import PURPOSE_INCREMENT, normal_rows
 from hpid.sde import SdeConfig, integrate_batch
 from hpid.targets import GaussianMixtureEnergy
 
@@ -216,6 +219,47 @@ def test_any_batch_split_is_bitwise_invariant(kind, potential, n_split):
     for name in fields:
         parts = np.concatenate([getattr(head, name), getattr(tail, name)])
         assert np.array_equal(getattr(whole, name), parts), name
+
+
+def test_matrix_beta_rotates_each_state_once(monkeypatch):
+    # the integrator carries each state's eigenbasis coordinates to the next
+    # step; the path weight must equal, bit for bit, the step sum with both
+    # states of every step rotated afresh, and the terminals must not
+    # depend on the reference potential at all
+    q, _ = np.linalg.qr(np.random.default_rng(31).normal(size=(3, 3)))
+    params = decompose(q @ np.diag([0.2, 0.9, 2.5]) @ q.T)
+    cfg = SdeConfig(n_steps=12, seed=8)
+    control = FunctionControlEvaluator(lambda t, x: np.sin(x) - t * x)
+    B = 37
+    rotations = []
+    rotate = MatrixBeta.to_eigenbasis
+
+    def counting(self, v):
+        rotations.append(np.shape(v))
+        return rotate(self, v)
+
+    monkeypatch.setattr(MatrixBeta, "to_eigenbasis", counting)
+    batch = integrate_batch(
+        cfg, control, dim=3, n_trajectories=B, params=params, record="all"
+    )
+    assert len(rotations) == cfg.n_steps + 1
+    monkeypatch.undo()
+    free = integrate_batch(cfg, control, dim=3, n_trajectories=B)
+    assert np.array_equal(batch.terminals, free.terminals)
+
+    path = np.concatenate([batch.states, batch.terminals[:, None, :]], axis=1)
+    factor = _harmonic_step(params, cfg.dt)
+    sqrt_dt = math.sqrt(cfg.dt)
+    log_w = np.zeros(B)
+    for k in range(cfg.n_steps):
+        x, x_new = np.ascontiguousarray(path[:, k]), np.ascontiguousarray(path[:, k + 1])
+        u = control(k * cfg.dt, x).drift
+        xi = normal_rows(cfg.seed, k, PURPOSE_INCREMENT, 0, B, 3)
+        log_w += -sqrt_dt * np.einsum("bd,bd->b", u, xi) - 0.5 * cfg.dt * np.einsum(
+            "bd,bd->b", u, u
+        )
+        log_w += factor(params.to_eigenbasis(x), params.to_eigenbasis(x_new))
+    assert np.array_equal(batch.log_weight, log_w)
 
 
 def test_single_trajectory_matches_batch_row():

@@ -6,11 +6,10 @@ from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
 from hpid.errors import FormatError, InputError
+from hpid.kernels import _rows_matmul
 from hpid.targets import (
-    DoubleWellEnergy,
     GaussianEnergy,
     GaussianMixtureEnergy,
-    OffsetEnergy,
     assign_modes,
     grid_mixture,
     load_dataset,
@@ -101,12 +100,35 @@ def test_panel_logw_survives_distant_means():
         assert np.ptp(diff[finite]) < 1e-6
 
 
-def test_offset_energy_shifts_value_only():
-    base = DoubleWellEnergy(dim=2)
-    off = OffsetEnergy(base, -3.5)
-    y = np.array([0.7, -1.2])
-    assert_allclose(off.value(y), base.value(y) - 3.5, rtol=1e-15)
-    assert off.dim == 2
+def _untiled_panel_logw(energy, means, s, panel):
+    # the whole-block expressions, in the operation order panel_logw keeps
+    pansq = np.einsum("ni,ni->n", panel, panel)
+    if isinstance(energy, GaussianEnergy):
+        cross = _rows_matmul(means - energy.mean, panel.T)
+        return -(2.0 * s * cross + s * s * pansq) / (2.0 * energy.sigma2)
+    s2, c = energy.sigma2, energy.centers
+    cc = np.einsum("mi,mi->m", c, c)
+    with np.errstate(divide="ignore"):
+        amat = np.log(energy.weights) + (_rows_matmul(means, c.T) - 0.5 * cc) / s2
+        bmat = (s / s2) * (panel @ c.T)
+        ash, bsh = amat.max(axis=1), bmat.max(axis=1)
+        r = _rows_matmul(np.exp(amat - ash[:, None]), np.exp(bmat - bsh[:, None]).T)
+        q = -(2.0 * s * _rows_matmul(means, panel.T) + s * s * pansq) / (2.0 * s2)
+        return q + ash[:, None] + bsh[None, :] + np.log(r)
+
+
+@pytest.mark.parametrize("B", [1, 15, 63, 64, 65, 130])
+def test_panel_logw_tiles_change_no_bit(B):
+    # the block equals the untiled whole-block expressions bit for bit,
+    # wherever the row tiles fall
+    rng = np.random.default_rng(B)
+    means = 3.0 * rng.normal(size=(B, 2))
+    means[-1] = [400.0, 400.0]  # far from every center: entries underflow
+    panel = rng.normal(size=(300, 2))
+    for energy in (GaussianEnergy(dim=2, sigma2=0.4, mean=[0.5, -0.2]), grid_mixture()):
+        got = energy.panel_logw(means, 0.6, panel)
+        assert got.shape == (B, 300)
+        assert np.array_equal(got, _untiled_panel_logw(energy, means, 0.6, panel))
 
 
 def test_grid_mixture_reference_layout():
