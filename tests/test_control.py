@@ -34,22 +34,9 @@ from hpid.rng import normals_from
 from hpid.stationary import universal_probe
 from hpid.targets import (
     DoubleWellEnergy,
-    Energy,
     GaussianEnergy,
     GaussianMixtureEnergy,
 )
-
-
-class OffsetEnergy(Energy):
-    """base energy plus a constant; the sampler's output law is unchanged."""
-
-    def __init__(self, base: Energy, offset: float):
-        self.base = base
-        self.offset = float(offset)
-        self.dim = base.dim
-
-    def value(self, y):
-        return np.asarray(self.base.value(y), dtype=float) + self.offset
 
 
 def _mixture2():
@@ -118,15 +105,7 @@ def test_uhis_weighted_state_in_sample_hull():
     assert np.array_equal(out2.drift, c1 * (out2.weighted_state - c2 * x))
 
 
-def test_offset_energy_shifts_value_only():
-    base = DoubleWellEnergy(dim=2)
-    off = OffsetEnergy(base, -3.5)
-    y = np.array([0.7, -1.2])
-    assert_allclose(off.value(y), base.value(y) - 3.5, rtol=1e-15)
-    assert off.dim == 2
-
-
-def test_uhis_additive_energy_invariance():
+def test_uhis_additive_energy_invariance(offset_energy):
     # self-normalized weights cancel any constant added to the energy;
     # the shift lands before the softmax max-shift, so agreement is to
     # rounding, not bitwise
@@ -136,7 +115,7 @@ def test_uhis_additive_energy_invariance():
     x = np.random.default_rng(6).normal(size=(3, 2))
     base = _mixture2()
     a = uhis_control(params, cfg, 0.4, x, base, xi=xi)
-    b = uhis_control(params, cfg, 0.4, x, OffsetEnergy(base, 7.0), xi=xi)
+    b = uhis_control(params, cfg, 0.4, x, offset_energy(base, 7.0), xi=xi)
     assert_allclose(b.drift, a.drift, rtol=1e-13, atol=1e-15)
     assert_allclose(b.weighted_state, a.weighted_state, rtol=1e-13, atol=1e-15)
     assert_allclose(b.ess, a.ess, rtol=1e-12)

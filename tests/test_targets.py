@@ -8,6 +8,7 @@ from scipy.special import logsumexp
 from hpid.errors import FormatError, InputError
 from hpid.kernels import _rows_matmul
 from hpid.targets import (
+    DoubleWellEnergy,
     GaussianEnergy,
     GaussianMixtureEnergy,
     assign_modes,
@@ -129,6 +130,14 @@ def test_panel_logw_tiles_change_no_bit(B):
         got = energy.panel_logw(means, 0.6, panel)
         assert got.shape == (B, 300)
         assert np.array_equal(got, _untiled_panel_logw(energy, means, 0.6, panel))
+
+
+def test_offset_energy_shifts_value_only(offset_energy):
+    base = DoubleWellEnergy(dim=2)
+    off = offset_energy(base, -3.5)
+    y = np.array([0.7, -1.2])
+    assert_allclose(off.value(y), base.value(y) - 3.5, rtol=1e-15)
+    assert off.dim == 2
 
 
 def test_grid_mixture_reference_layout():
