@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    _CONTROLS,
+    _ENERGY_CONTROLS,
     build_run_config,
     load_config_file,
     resolve,
@@ -73,29 +73,18 @@ def _threads(flag):
     return v
 
 
-def _int_list(text: str, flag: str) -> list[int]:
+def _list(text: str, flag: str, kind) -> list:
+    """The comma-separated values of a flag, each parsed as kind (int or float)."""
+    noun = "an integer" if kind is int else "a number"
     out = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         try:
-            out.append(int(part))
+            out.append(kind(part))
         except ValueError:
-            raise ConfigError(f"{flag}: {part!r} is not an integer") from None
-    return out
-
-
-def _float_list(text: str, flag: str) -> list[float]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(float(part))
-        except ValueError:
-            raise ConfigError(f"{flag}: {part!r} is not a number") from None
+            raise ConfigError(f"{flag}: {part!r} is not {noun}") from None
     return out
 
 
@@ -169,8 +158,8 @@ def _cmd_estimate_z(args) -> int:
     resolved = resolve(raw)
     cfg = build_run_config(resolved, threads=_threads(args.threads))
     cfg = dataclasses.replace(cfg, out_dir=None, n_record=0)
-    steps = _int_list(args.steps_list, "--steps-list")
-    samples = _int_list(args.samples_list, "--samples-list")
+    steps = _list(args.steps_list, "--steps-list", int)
+    samples = _list(args.samples_list, "--samples-list", int)
     rows = estimate_z_convergence(cfg, steps, samples, args.repeats)
     lines = ["sweep,setting,repeat,z"]
     for r in rows:
@@ -253,25 +242,15 @@ def _load_trajectories(run_dir: str, doc: dict, terminals: np.ndarray):
 
 
 def _mixture_from_doc(doc):
-    """Rebuild the mixture a run sampled, when the echo identifies one."""
-    cli = doc.get("cli_config") or {}
-    tgt = cli.get("target") or {}
-    if tgt.get("energy") == "gaussian-mixture":
-        from .targets import grid_mixture
-
-        return grid_mixture(
-            side=int(tgt["side"]),
-            spacing=float(tgt["spacing"]),
-            sigma2=float(tgt["sigma2"]),
-        )
+    """The mixture a run sampled, from the target its summary describes."""
     desc = (doc.get("config") or {}).get("target") or {}
-    if desc.get("class") == "GaussianMixtureEnergy":
-        return GaussianMixtureEnergy(
-            centers=np.asarray(desc["centers"]),
-            sigma2=float(desc["sigma2"]),
-            weights=np.asarray(desc["weights"]),
-        )
-    return None
+    if desc.get("class") != "GaussianMixtureEnergy":
+        return None
+    return GaussianMixtureEnergy(
+        centers=np.asarray(desc["centers"]),
+        sigma2=float(desc["sigma2"]),
+        weights=np.asarray(desc["weights"]),
+    )
 
 
 def _cmd_diagnose(args) -> int:
@@ -315,8 +294,8 @@ def _cmd_diagnose(args) -> int:
 def _cmd_oracle_check(args) -> int:
     energy = DoubleWellEnergy(1, stiffness=args.stiffness)
     params = ScalarBeta(args.beta, 1)
-    ts = _float_list(args.t_list, "--t-list")
-    xs = _float_list(args.x_list, "--x-list")
+    ts = _list(args.t_list, "--t-list", float)
+    xs = _list(args.x_list, "--x-list", float)
     if not ts or not xs:
         raise ConfigError("--t-list and --x-list must be nonempty")
     cfg = UhisConfig(n_is=args.n_is)
@@ -382,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--seed", type=int, help="override [run] seed")
     pe.add_argument("--out", help="override [run] out")
     # no argparse choices: resolve() checks the name, so a bad one is a ConfigError
-    pe.add_argument("--control", help=f"override [run] control: {', '.join(_CONTROLS)}")
+    pe.add_argument("--control", help=f"override [run] control: {', '.join(_ENERGY_CONTROLS)}")
     pe.add_argument("--threads", type=int, help="worker threads")
     pe.set_defaults(fn=_cmd_sample_energy)
 

@@ -3,14 +3,17 @@
 A manifest has three sections. [target] names what to sample (a built-in
 energy or a dataset of ground-truth rows), [potential] sets the quadratic
 confinement, [run] sets the engine parameters. Command-line overrides win
-over file values. `resolve` validates against the schema, fills defaults,
-and returns a normalized mapping of strings; the normalized form is what
-runs echo into summary.json, and feeding it back reproduces the run.
+over file values. One table below gives, for each energy and each control,
+its keys, their defaults and its constructor. `resolve` validates against
+it, fills defaults, and returns a normalized mapping of strings; the
+normalized form is what runs echo into summary.json, and feeding it back
+reproduces the run. `build_run_config` turns that form into a RunConfig.
 """
 
 import configparser
 import json
 import os
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,47 +25,96 @@ from .targets import DoubleWellEnergy, GaussianEnergy, grid_mixture
 
 _SECTIONS = ("target", "potential", "run")
 
-# key -> (type, default); default None means "cross-field logic decides"
-_TARGET_KEYS = {
-    "kind": ("str", None),
-    "energy": ("str", None),
-    "dim": ("int", None),
-    "sigma2": ("float", None),
-    "mean": ("float", None),
-    "stiffness": ("float", None),
-    "side": ("int", None),
-    "spacing": ("float", None),
-    "data": ("str", None),
-}
-_POTENTIAL_KEYS = {"beta": ("floats", "0.0")}
-_RUN_KEYS = {
-    "samples": ("int", None),
-    "steps": ("int", None),
-    "seed": ("int", "0"),
-    "control": ("str", None),
-    "n_is": ("int", "1000"),
-    "reuse_probe_noise": ("bool", "false"),
-    "out": ("str", None),
-    "record": ("int", "0"),
-    "record_every": ("int", "1"),
-    "quad_lo": ("float", "-12.0"),
-    "quad_hi": ("float", "12.0"),
-    "quad_n": ("int", "1601"),
-}
-_SCHEMA = {"target": _TARGET_KEYS, "potential": _POTENTIAL_KEYS, "run": _RUN_KEYS}
-
-_ENERGIES = ("gaussian", "double-well", "gaussian-mixture")
-_CONTROLS = ("uhis", "oracle")
-# manifest name -> internal sampler mode
-_CONTROL_MODES = {
-    "uhis": "uhis",
-    "oracle": "quadrature-oracle",
-    "empirical": "empirical",
+# section -> key -> type of its value
+_TYPES = {
+    "target": {
+        "kind": "str",
+        "energy": "str",
+        "dim": "int",
+        "sigma2": "float",
+        "mean": "float",
+        "stiffness": "float",
+        "side": "int",
+        "spacing": "float",
+        "data": "str",
+    },
+    "potential": {"beta": "floats"},
+    "run": {
+        "samples": "int",
+        "steps": "int",
+        "seed": "int",
+        "control": "str",
+        "n_is": "int",
+        "reuse_probe_noise": "bool",
+        "out": "str",
+        "record": "int",
+        "record_every": "int",
+        "quad_lo": "float",
+        "quad_hi": "float",
+        "quad_n": "int",
+    },
 }
 
+_REQUIRED = None  # the default of a key the manifest must give
+_ENERGY_CONTROLS = ("uhis", "oracle")
 
-def _parse_typed(section: str, key: str, kind: str, raw: str):
+
+class _Target(NamedTuple):
+    """A [target] row: its keys with their defaults, and a constructor
+    from the parsed keys to the RunConfig fields that name the target."""
+
+    keys: dict
+    build: Callable
+    controls: tuple = _ENERGY_CONTROLS  # the [run] controls it takes; first is the default
+
+
+class _Control(NamedTuple):
+    """A [run] control row: the sampler's control_mode, the control's own
+    [run] keys with their defaults, and a constructor from the parsed keys
+    to its RunConfig fields."""
+
+    mode: str
+    keys: dict
+    build: Callable = dict  # no RunConfig fields of its own
+
+
+def _energy(cls):
+    return lambda **keys: {"energy": cls(**keys)}
+
+
+# built-in energies by [target] energy name; a row that gives dim a default
+# has that dimension only
+_ENERGIES = {
+    "gaussian": _Target({"dim": _REQUIRED, "sigma2": 1.0, "mean": 0.0}, _energy(GaussianEnergy)),
+    "double-well": _Target({"dim": _REQUIRED, "stiffness": 1.0}, _energy(DoubleWellEnergy)),
+    "gaussian-mixture": _Target(
+        {"dim": 2, "side": 3, "spacing": 5.0, "sigma2": 0.5}, _energy(grid_mixture)
+    ),
+}
+_DATASET = _Target({"data": _REQUIRED}, lambda data: {"dataset": data}, ("empirical",))
+
+# [run] keys of every run, then each control by its manifest name
+_RUN = {"samples": _REQUIRED, "steps": _REQUIRED, "seed": 0, "record": 0, "record_every": 1}
+_CONTROLS = {
+    "uhis": _Control(
+        "uhis",
+        {"n_is": 1000, "reuse_probe_noise": False},
+        lambda **keys: {"uhis": UhisConfig(**keys)},
+    ),
+    "oracle": _Control(
+        "quadrature-oracle",
+        {"quad_lo": -12.0, "quad_hi": 12.0, "quad_n": 1601},
+        lambda quad_lo, quad_hi, quad_n: {
+            "quadrature": QuadratureGrid(lo=quad_lo, hi=quad_hi, n=quad_n)
+        },
+    ),
+    "empirical": _Control("empirical", {}),
+}
+
+
+def _parse_typed(section: str, key: str, raw: str):
     where = f"[{section}] {key}"
+    kind = _TYPES[section][key]
     try:
         if kind == "int":
             return int(raw)
@@ -153,7 +205,7 @@ def resolve(raw: dict, overrides: dict | None = None) -> dict:
         merged.setdefault(section, {})[key] = _fmt(value) if not isinstance(value, str) else value
 
     for section, keys in merged.items():
-        schema = _SCHEMA[section]
+        schema = _TYPES[section]
         for key in keys:
             if key not in schema:
                 raise ConfigError(
@@ -161,174 +213,85 @@ def resolve(raw: dict, overrides: dict | None = None) -> dict:
                     f"known keys: {sorted(schema)}"
                 )
 
-    def get(section, key, required=False):
-        schema_kind, default = _SCHEMA[section][key]
-        raw_val = merged[section].get(key, default)
-        if raw_val is None:
-            if required:
-                raise ConfigError(f"[{section}] {key} is required")
-            return None
-        return _parse_typed(section, key, schema_kind, raw_val)
-
     out = {s: {} for s in _SECTIONS}
 
-    kind = get("target", "kind", required=True)
-    if kind not in ("energy", "dataset"):
-        raise ConfigError(
-            f"[target] kind must be 'energy' or 'dataset', got {kind!r}"
-        )
-    out["target"]["kind"] = kind
-    if kind == "dataset":
-        out["target"]["data"] = get("target", "data", required=True)
-        for key in ("energy", "dim", "sigma2", "mean", "stiffness", "side", "spacing"):
-            if key in merged["target"]:
-                raise ConfigError(f"[target] {key} does not apply to kind = dataset")
-        control = get("run", "control") or "empirical"
-        if control != "empirical":
-            raise ConfigError(
-                f"dataset targets use control = empirical, got {control!r}"
-            )
-    else:
-        name = get("target", "energy", required=True)
-        if name not in _ENERGIES:
-            raise ConfigError(
-                f"[target] energy must be one of {list(_ENERGIES)}, got {name!r}"
-            )
-        out["target"]["energy"] = name
-        if "data" in merged["target"]:
-            raise ConfigError("[target] data does not apply to kind = energy")
-        if name == "gaussian-mixture":
-            dim = get("target", "dim")
-            if dim is not None and dim != 2:
-                raise ConfigError("[target] the mixture grid is 2-dimensional")
-            out["target"]["dim"] = 2
-            out["target"]["side"] = get("target", "side") or 3
-            out["target"]["spacing"] = s = get("target", "spacing")
-            out["target"]["spacing"] = 5.0 if s is None else s
-            s2 = get("target", "sigma2")
-            out["target"]["sigma2"] = 0.5 if s2 is None else s2
-            for key in ("mean", "stiffness"):
-                if key in merged["target"]:
-                    raise ConfigError(
-                        f"[target] {key} does not apply to gaussian-mixture"
-                    )
-        else:
-            dim = get("target", "dim", required=True)
-            if dim < 1:
-                raise ConfigError(f"[target] dim must be >= 1, got {dim}")
-            out["target"]["dim"] = dim
-            for key in ("side", "spacing"):
-                if key in merged["target"]:
-                    raise ConfigError(f"[target] {key} applies to gaussian-mixture only")
-            if name == "gaussian":
-                s2 = get("target", "sigma2")
-                out["target"]["sigma2"] = 1.0 if s2 is None else s2
-                mean = get("target", "mean")
-                out["target"]["mean"] = 0.0 if mean is None else mean
-                if "stiffness" in merged["target"]:
-                    raise ConfigError("[target] stiffness applies to double-well only")
+    def fill(section, keys):
+        for key, default in keys.items():
+            raw_val = merged[section].get(key)
+            if raw_val is not None:
+                out[section][key] = _parse_typed(section, key, raw_val)
+            elif default is _REQUIRED:
+                raise ConfigError(f"[{section}] {key} is required")
             else:
-                a = get("target", "stiffness")
-                out["target"]["stiffness"] = 1.0 if a is None else a
-                for key in ("sigma2", "mean"):
-                    if key in merged["target"]:
-                        raise ConfigError(f"[target] {key} applies to gaussian only")
-        control = get("run", "control") or "uhis"
-        if control not in _CONTROLS:
+                out[section][key] = default
+
+    target = out["target"]
+    fill("target", {"kind": _REQUIRED})
+    if target["kind"] == "dataset":
+        row, where = _DATASET, "kind = dataset"
+    elif target["kind"] == "energy":
+        fill("target", {"energy": _REQUIRED})
+        row = _ENERGIES.get(target["energy"])
+        if row is None:
             raise ConfigError(
-                f"[run] control must be one of {list(_CONTROLS)}, got {control!r}"
+                f"[target] energy must be one of {list(_ENERGIES)}, "
+                f"got {target['energy']!r}"
             )
+        where = f"energy = {target['energy']}"
+    else:
+        raise ConfigError(
+            f"[target] kind must be 'energy' or 'dataset', got {target['kind']!r}"
+        )
+    for key in merged["target"]:
+        if key not in target and key not in row.keys:
+            owners = [name for name, r in _ENERGIES.items() if key in r.keys]
+            also = f"; {key} applies to {', '.join(owners)}" if owners else ""
+            raise ConfigError(f"[target] {key} does not apply to {where}{also}")
+    fill("target", row.keys)
+    dim, fixed = target.get("dim"), row.keys.get("dim")
+    if fixed is not None and dim != fixed:
+        raise ConfigError(f"[target] {where} is {fixed}-dimensional, got dim = {dim}")
+    if dim is not None and dim < 1:
+        raise ConfigError(f"[target] dim must be >= 1, got {dim}")
 
-    beta = get("potential", "beta")
-    out["potential"]["beta"] = beta if beta else [0.0]
-
-    out["run"]["samples"] = get("run", "samples", required=True)
-    out["run"]["steps"] = get("run", "steps", required=True)
-    out["run"]["seed"] = get("run", "seed")
-    out["run"]["control"] = control
-    if control == "uhis":
-        for key in ("n_is", "reuse_probe_noise"):
-            out["run"][key] = get("run", key)
-    elif control == "oracle":
-        for key in ("quad_lo", "quad_hi", "quad_n"):
-            out["run"][key] = get("run", key)
-    o = get("run", "out")
-    if o is not None:
-        out["run"]["out"] = o
-    for key in ("record", "record_every"):
-        out["run"][key] = get("run", key)
+    # a blank beta or control means its default, as an absent one does
+    fill("potential", {"beta": []})
+    fill("run", {**_RUN, "control": ""})
+    out["potential"]["beta"] = out["potential"]["beta"] or [0.0]
+    control = out["run"]["control"] = out["run"]["control"] or row.controls[0]
+    if control not in row.controls:
+        raise ConfigError(
+            f"[run] control must be one of {list(row.controls)}, got {control!r} "
+            f"({where} takes control = {' or '.join(row.controls)})"
+        )
+    fill("run", _CONTROLS[control].keys)
+    if merged["run"].get("out") is not None:  # the one key with no default
+        out["run"]["out"] = _parse_typed("run", "out", merged["run"]["out"])
 
     return {s: {k: _fmt(v) for k, v in sec.items()} for s, sec in out.items()}
 
 
 def build_run_config(normalized: dict, threads: int = 1) -> RunConfig:
     """RunConfig (plus constructed target) from a normalized manifest."""
-    def val(section, key, default=None):
-        raw_val = normalized[section].get(key)
-        if raw_val is None:
-            return default
-        kind = _SCHEMA[section][key][0]
-        return _parse_typed(section, key, kind, raw_val)
-
-    tgt = normalized["target"]
-    energy = dataset = None
-    if tgt["kind"] == "dataset":
-        dataset = tgt["data"]
-    else:
-        name = tgt["energy"]
-        if name == "gaussian-mixture":
-            energy = grid_mixture(
-                side=val("target", "side"),
-                spacing=val("target", "spacing"),
-                sigma2=val("target", "sigma2"),
-            )
-        elif name == "gaussian":
-            energy = GaussianEnergy(
-                val("target", "dim"),
-                sigma2=val("target", "sigma2"),
-                mean=val("target", "mean"),
-            )
-        else:
-            energy = DoubleWellEnergy(
-                val("target", "dim"), stiffness=val("target", "stiffness")
-            )
-
-    beta_list = val("potential", "beta", [0.0])
-    beta = beta_list[0] if len(beta_list) == 1 else np.asarray(beta_list)
-
-    control = val("run", "control")
-    mode = _CONTROL_MODES[control]
-    steps = val("run", "steps")
-    record = val("run", "record", 0)
-    sde = SdeConfig(
-        n_steps=steps,
-        seed=val("run", "seed", 0),
-        record_every=val("run", "record_every", 1),
-    )
-    uhis = None
-    if mode == "uhis":
-        uhis = UhisConfig(
-            n_is=val("run", "n_is", 1000),
-            reuse_probe_noise=val("run", "reuse_probe_noise", False),
-        )
-    quad = None
-    if mode == "quadrature-oracle":
-        quad = QuadratureGrid(
-            lo=val("run", "quad_lo", -12.0),
-            hi=val("run", "quad_hi", 12.0),
-            n=val("run", "quad_n", 1601),
-        )
+    parsed = {
+        s: {k: _parse_typed(s, k, v) for k, v in sec.items()}
+        for s, sec in normalized.items()
+    }
+    target, run = parsed["target"], parsed["run"]
+    kind = target.pop("kind")
+    row = _DATASET if kind == "dataset" else _ENERGIES[target.pop("energy")]
+    control = _CONTROLS[run["control"]]
+    beta = parsed["potential"]["beta"]
     return RunConfig(
-        n_samples=val("run", "samples"),
-        sde=sde,
-        beta=beta,
-        energy=energy,
-        dataset=dataset,
-        control_mode=mode,
-        uhis=uhis,
-        quadrature=quad,
-        out_dir=val("run", "out"),
+        n_samples=run["samples"],
+        sde=SdeConfig(
+            n_steps=run["steps"], seed=run["seed"], record_every=run["record_every"]
+        ),
+        beta=beta[0] if len(beta) == 1 else np.asarray(beta),
+        control_mode=control.mode,
+        out_dir=run.get("out"),
         threads=threads,
-        n_record=record,
+        n_record=run["record"],
+        **row.build(**target),
+        **control.build(**{k: run[k] for k in control.keys}),
     )
-

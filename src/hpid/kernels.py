@@ -55,11 +55,14 @@ def _rows_matmul(a, b, out=None):
     has, so a plain a @ b can change a trajectory's bits with the batch
     split. Every GEMM here sees exactly _ROW_TILE rows (full tiles as one
     stacked matmul, the last partial tile zero-padded), so each result row
-    depends bitwise on its own row of a and on b alone. Every product over
-    trajectory rows goes through here. out, if given, is a C-contiguous
-    (rows of a, n) array that receives the result.
+    depends bitwise on its own row of a and on b alone. b is made
+    C-contiguous first (free when it already is): with a transposed b,
+    BLAS rounds some rows differently by their place in the tile. Every
+    product over trajectory rows goes through here. out, if given, is a
+    C-contiguous (rows of a, n) array that receives the result.
     """
     a = np.asarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
     k, n = b.shape
     flat = a.reshape(-1, k)
     m = flat.shape[0]

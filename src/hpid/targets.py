@@ -54,9 +54,10 @@ class Energy:
         raise NotImplementedError
 
 
-def _panel_quadratic(out, rows, panel, s, ssq, sigma2):
-    """out = -(2 s rows @ panel.T + ssq) / (2 sigma2), formed in place."""
-    _rows_matmul(rows, panel.T, out=out)
+def _panel_quadratic(out, rows, panel_t, s, ssq, sigma2):
+    """out = -(2 s rows @ panel_t + ssq) / (2 sigma2), formed in place;
+    panel_t is the C-contiguous (d, N) transpose of the panel."""
+    _rows_matmul(rows, panel_t, out=out)
     out *= 2.0 * s
     out += ssq
     np.negative(out, out=out)
@@ -85,9 +86,10 @@ class GaussianEnergy(Energy):
         panel = np.asarray(panel, dtype=float)
         s = float(scale)
         ssq = s * s * np.einsum("ni,ni->n", panel, panel)
+        panel_t = np.ascontiguousarray(panel.T)
         out = np.empty((dm.shape[0], panel.shape[0]))
         for rows in _row_tiles(dm.shape[0]):
-            _panel_quadratic(out[rows], dm[rows], panel, s, ssq, self.sigma2)
+            _panel_quadratic(out[rows], dm[rows], panel_t, s, ssq, self.sigma2)
         return out
 
 
@@ -171,13 +173,14 @@ class GaussianMixtureEnergy(Energy):
         ash = amat.max(axis=1)
         bsh = bmat.max(axis=1)
         ea = np.exp(amat - ash[:, None])
-        ebt = np.exp(bmat - bsh[:, None]).T
+        ebt = np.ascontiguousarray(np.exp(bmat - bsh[:, None]).T)
         ssq = s * s * np.einsum("ni,ni->n", panel, panel)
+        panel_t = np.ascontiguousarray(panel.T)
         out = np.empty((means.shape[0], panel.shape[0]))
         r = np.empty((min(_KERNEL_TILE, means.shape[0]), panel.shape[0]))
         for rows in _row_tiles(means.shape[0]):
             q = out[rows]
-            _panel_quadratic(q, means[rows], panel, s, ssq, s2)
+            _panel_quadratic(q, means[rows], panel_t, s, ssq, s2)
             q += ash[rows, None]
             q += bsh
             rt = _rows_matmul(ea[rows], ebt, out=r[: len(q)])

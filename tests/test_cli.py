@@ -352,6 +352,14 @@ def test_sample_empirical_accepts_comma_list_beta(tmp_path):
     assert_allclose(listed, scalar, rtol=1e-10, atol=1e-10)
 
 
+def test_mixture_side_zero_is_exit_2(tmp_path, capsys):
+    # side = 0 is no grid; it must not fall back to the 3 x 3 default
+    text = MIXTURE_INI.replace("gaussian-mixture\n", "gaussian-mixture\nside = 0\n")
+    cfg = _write(tmp_path, "m.ini", text)
+    assert main(["sample-energy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "side must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_diagnose_mixture_modes(tmp_path, capsys):
     cfg = _write(tmp_path, "m.ini", MIXTURE_INI)
     out = tmp_path / "run"
@@ -470,3 +478,8 @@ def test_oracle_check_reports_untrustworthy_rows(capsys):
 def test_oracle_check_empty_grid(capsys):
     assert main(["oracle-check", "--t-list", "", "--x-list", "0.5"]) == 2
     assert "nonempty" in capsys.readouterr().err
+
+
+def test_oracle_check_bad_list(capsys):
+    assert main(["oracle-check", "--t-list", "0.1,x", "--x-list", "0.5"]) == 2
+    assert "--t-list: 'x' is not a number" in capsys.readouterr().err

@@ -179,16 +179,20 @@ def test_batch_partition_invariance(reuse):
     n_split=st.integers(2, 40).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(1, n - 1))
     ),
+    n_is=st.integers(1, 400),
 )
-@example(kind="uhis-shared", potential="scalar", n_split=(3, 2))
-@example(kind="uhis", potential="matrix", n_split=(2, 1))
-@example(kind="empirical", potential="matrix", n_split=(2, 1))
+@example(kind="uhis-shared", potential="scalar", n_split=(3, 2), n_is=8)
+@example(kind="uhis", potential="matrix", n_split=(2, 1), n_is=8)
+@example(kind="empirical", potential="matrix", n_split=(2, 1), n_is=8)
+# a transposed right operand once made this split change bits
+@example(kind="uhis-shared", potential="matrix", n_split=(15, 5), n_is=269)
 @settings(max_examples=60, deadline=None)
-def test_any_batch_split_is_bitwise_invariant(kind, potential, n_split):
+def test_any_batch_split_is_bitwise_invariant(kind, potential, n_split, n_is):
     # the probe noise is addressed by trajectory (or shared by step) and
     # every product over trajectory rows runs on fixed-size row tiles, so
     # every split of a batch reproduces the one-batch run bit for bit, for
-    # each evaluator and for scalar or rotated matrix confinement
+    # each evaluator, any probe count, and scalar or rotated matrix
+    # confinement
     n, split = n_split
     if potential == "scalar":
         params = ScalarBeta(beta=0.6, dim=2)
@@ -200,7 +204,7 @@ def test_any_batch_split_is_bitwise_invariant(kind, potential, n_split):
         rows = np.random.default_rng(11).normal(size=(5, 2))
         control = EmpiricalControlEvaluator(params, EmpiricalTarget(rows))
     else:
-        cfg = UhisConfig(n_is=8, reuse_probe_noise=kind == "uhis-shared")
+        cfg = UhisConfig(n_is=n_is, reuse_probe_noise=kind == "uhis-shared")
         control = UhisControlEvaluator(params, _mixture2(), cfg)
 
     def batch(first, size):
