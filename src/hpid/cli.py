@@ -254,6 +254,8 @@ def _mixture_from_doc(doc):
 
 
 def _cmd_diagnose(args) -> int:
+    if args.bootstrap < 0:
+        raise ConfigError(f"--bootstrap must be >= 0, got {args.bootstrap}")
     doc, terminals = _load_run_dir(args.run)
     recorded = _load_trajectories(args.run, doc, terminals)
     mixture = _mixture_from_doc(doc)

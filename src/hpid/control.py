@@ -18,6 +18,7 @@ x with leading batch axes; all three estimators take scalar or matrix beta.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -255,54 +256,25 @@ class QuadratureGrid:
 
 
 _BOUNDARY_MASS_TOL = 1e-8
+_ENERGY_BLOCK = 65_536  # grid nodes per energy call while an evaluator is built
 
 
-def _simpson_weights(n: int, lo: float, hi: float) -> np.ndarray:
-    s = np.ones(n)
-    s[1:-1:2] = 4.0
-    s[2:-1:2] = 2.0
-    return s * ((hi - lo) / (n - 1) / 3.0)
-
-
-def _quadrature_state(params: Potential, t: float, x, energy, grid: QuadratureGrid):
-    """Weighted state by direct integration; 1D/2D reference path."""
-    d = params.dim
+def _product_grid(grid: QuadratureGrid, d: int):
+    """Nodes (n^d, d), log Simpson weights and boundary mask of the product
+    grid in d = 1 or 2 dimensions."""
     if d not in (1, 2):
         raise InputError(f"quadrature reference supports dim 1 or 2, got {d}")
     axis = np.linspace(grid.lo, grid.hi, grid.n)
-    s1 = _simpson_weights(grid.n, grid.lo, grid.hi)
-    if d == 1:
-        ys = axis[:, None]  # (n, 1)
-        log_s = np.log(s1)
-        boundary = np.zeros(grid.n, dtype=bool)
-        boundary[0] = boundary[-1] = True
-    else:
-        ga, gb = np.meshgrid(axis, axis, indexing="ij")
-        ys = np.stack([ga.ravel(), gb.ravel()], axis=1)  # (n*n, 2)
-        log_s = np.log(np.outer(s1, s1)).ravel()
-        edge = np.zeros((grid.n, grid.n), dtype=bool)
-        edge[0, :] = edge[-1, :] = True
-        edge[:, 0] = edge[:, -1] = True
-        boundary = edge.ravel()
-    log_w = (
-        log_kernel_ratio(params, t, x, ys)
-        - np.asarray(energy.value(ys), dtype=float)
-        + log_s
-    )
-    m = float(log_w.max())
-    if not np.isfinite(m):
-        raise AccuracyError("integrand is non-finite over the whole grid")
-    r = np.exp(log_w - m)
-    total = float(r.sum())
-    if float(r[boundary].sum()) > _BOUNDARY_MASS_TOL * total:
-        raise AccuracyError(
-            f"integrand mass at the grid boundary exceeds {_BOUNDARY_MASS_TOL:g} "
-            f"of the total; enlarge [{grid.lo}, {grid.hi}]"
-        )
-    w = r / total
-    xhat = w @ ys
-    ess = 1.0 / float(w @ w)
-    return xhat, ess, float(w.max())
+    s1 = np.ones(grid.n)
+    s1[1:-1:2] = 4.0
+    s1[2:-1:2] = 2.0
+    s1 *= (grid.hi - grid.lo) / (grid.n - 1) / 3.0
+    edge = np.zeros(grid.n, dtype=bool)
+    edge[0] = edge[-1] = True
+    nodes = np.stack([a.ravel() for a in np.meshgrid(*[axis] * d, indexing="ij")], 1)
+    log_s = np.log(reduce(np.multiply.outer, [s1] * d)).ravel()
+    boundary = reduce(np.logical_or.outer, [edge] * d).ravel()
+    return nodes, log_s, boundary
 
 
 def quadrature_control(
@@ -313,10 +285,7 @@ def quadrature_control(
     x = _as_points(params, "x", x)
     if x.ndim != 1:
         raise InputError(f"x must be a single point, got shape {x.shape}")
-    if grid is None:
-        grid = QuadratureGrid()
-    xhat, ess, max_w = _quadrature_state(params, t, x, energy, grid)
-    return _drift_output(params, t, x, xhat, ess, max_w).drift
+    return QuadratureControlEvaluator(params, energy, grid)(t, x).drift
 
 
 class UhisControlEvaluator:
@@ -353,31 +322,44 @@ class EmpiricalControlEvaluator:
 
 
 class QuadratureControlEvaluator:
-    """Deterministic reference drift by grid integration (d <= 2)."""
+    """Deterministic reference drift by grid integration (d <= 2).
+
+    The grid and -E on its nodes are built once, here; a row then costs
+    one kernel ratio over the nodes and one softmax.
+    """
 
     def __init__(self, params: Potential, energy, grid: QuadratureGrid | None = None):
         self.params = params
         self.energy = energy
         self.grid = grid if grid is not None else QuadratureGrid()
+        self._nodes, self._log_s, self._boundary = _product_grid(self.grid, params.dim)
+        neg_e = np.empty(len(self._nodes))
+        for lo in range(0, len(neg_e), _ENERGY_BLOCK):
+            block = slice(lo, lo + _ENERGY_BLOCK)
+            neg_e[block] = energy.value(self._nodes[block])
+        self._neg_e = np.negative(neg_e, out=neg_e)
 
     def noise_shape(self, dim: int):
         return None
 
     def __call__(self, t, x, xi=None) -> ControlOutput:
         x = _as_points(self.params, "x", x)
-        flat = x.reshape(-1, x.shape[-1])
-        xhat = np.empty_like(flat)
-        ess = np.empty(flat.shape[0])
-        max_w = np.empty(flat.shape[0])
-        for i, row in enumerate(flat):
-            xhat[i], ess[i], max_w[i] = _quadrature_state(
-                self.params, t, row, self.energy, self.grid
-            )
-        lead = x.shape[:-1]
-        xhat = xhat.reshape(x.shape)
-        return _drift_output(
-            self.params, t, x, xhat, ess.reshape(lead), max_w.reshape(lead)
-        )
+        xhat = np.empty_like(x)
+        ess = np.empty(x.shape[:-1])
+        max_w = np.empty(x.shape[:-1])
+        for i in np.ndindex(x.shape[:-1]):
+            log_w = log_kernel_ratio(self.params, t, x[i], self._nodes)
+            log_w += self._neg_e
+            log_w += self._log_s
+            w, ess[i], max_w[i] = _softmax_weights(log_w, out=log_w)
+            if w[self._boundary].sum() > _BOUNDARY_MASS_TOL:
+                raise AccuracyError(
+                    "integrand mass at the grid boundary exceeds "
+                    f"{_BOUNDARY_MASS_TOL:g} of the total; enlarge "
+                    f"[{self.grid.lo}, {self.grid.hi}]"
+                )
+            xhat[i] = w @ self._nodes
+        return _drift_output(self.params, t, x, xhat, ess, max_w)
 
 
 class FunctionControlEvaluator:

@@ -5,8 +5,10 @@ one shared probe panel per step), and every product over trajectory rows
 runs on fixed-size row tiles, so the terminal array is bit-identical no
 matter how the population is chunked or how many worker threads advance
 the chunks, for every drift evaluator and for scalar or matrix beta.
-Chunks exist only to bound the per-step working set (probe draws
-dominate: n_is * d doubles per trajectory per step).
+Chunks exist only to bound the per-step working set: for a shared
+probe panel the (B, n_is) log-weight block dominates, for per-trajectory
+noise the n_is * d probe draws per trajectory, and for a dataset the
+(B, S) log-ratio block.
 
 Energy-mode runs also estimate the partition function from the same
 trajectories. Each path's exact log weight against the uncontrolled
@@ -134,6 +136,8 @@ def _validate_and_build(cfg: RunConfig):
         raise ConfigError(f"n_samples must be >= 1, got {cfg.n_samples}")
     if cfg.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
+    if cfg.n_record < 0:
+        raise ConfigError(f"record must be >= 0, got {cfg.n_record}")
     has_energy = cfg.energy is not None
     has_dataset = cfg.dataset is not None
     if has_energy == has_dataset:

@@ -360,6 +360,24 @@ def test_mixture_side_zero_is_exit_2(tmp_path, capsys):
     assert "side must be >= 1, got 0" in capsys.readouterr().err
 
 
+def test_negative_record_is_exit_2(tmp_path, capsys):
+    # a negative count is a fault, not a request to record nothing
+    cfg = _write(tmp_path, "m.ini", GAUSS_INI + "record = -3\n")
+    assert main(["sample-energy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "record must be >= 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_diagnose_negative_bootstrap_is_exit_2(tmp_path, capsys):
+    # refused before anything is written, not taken as "no bootstrap"
+    out = _recorded_run(tmp_path, capsys)
+    diag = tmp_path / "diag"
+    argv = ["diagnose", "--run", str(out), "--out", str(diag), "--bootstrap", "-5"]
+    assert main(argv) == 2
+    assert "--bootstrap must be >= 0, got -5" in capsys.readouterr().err
+    assert not diag.exists()
+
+
 def test_diagnose_mixture_modes(tmp_path, capsys):
     cfg = _write(tmp_path, "m.ini", MIXTURE_INI)
     out = tmp_path / "run"

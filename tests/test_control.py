@@ -390,15 +390,58 @@ def test_control_output_low_ess_flag():
 
 
 def test_quadrature_evaluator_batches_rows():
-    params = ScalarBeta(beta=0.4, dim=1)
-    ev = QuadratureControlEvaluator(params, DoubleWellEnergy(dim=1))
-    x = np.array([[0.2], [-1.1], [0.8]])
-    out = ev(0.6, x)
-    assert out.drift.shape == (3, 1)
-    assert out.ess.shape == (3,)
-    for i in range(3):
-        single = quadrature_control(params, 0.6, x[i], DoubleWellEnergy(dim=1))
-        assert_allclose(out.drift[i], single, rtol=1e-12)
+    # quadrature_control is the evaluator on one point, so a batched row
+    # equals its single-point drift bitwise, for any leading axes
+    x2 = np.random.default_rng(31).uniform(-2.0, 2.0, size=(2, 3, 2))
+    cases = (
+        (ScalarBeta(beta=0.4, dim=1), DoubleWellEnergy(dim=1), None,
+         np.array([[0.2], [-1.1], [0.8]])),
+        (decompose(np.array([[0.6, 0.2], [0.2, 0.4]])), _mixture2(),
+         QuadratureGrid(lo=-10.0, hi=10.0, n=101), x2),
+    )
+    for params, energy, grid, x in cases:
+        out = QuadratureControlEvaluator(params, energy, grid)(0.6, x)
+        assert out.drift.shape == x.shape
+        assert out.ess.shape == out.max_weight.shape == x.shape[:-1]
+        for i in np.ndindex(x.shape[:-1]):
+            single = quadrature_control(params, 0.6, x[i], energy, grid)
+            assert np.array_equal(out.drift[i], single)
+
+
+class _ValueSpy:
+    """Energy proxy that keeps every array value is evaluated on."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.calls = []
+
+    def value(self, y):
+        self.calls.append(np.array(y, dtype=float))
+        return self.inner.value(y)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_quadrature_energy_is_evaluated_once_per_evaluator(dim):
+    # the grid and -E on its nodes never change, so the evaluator's build
+    # evaluates every node once, in bounded blocks, and no row or call
+    # evaluates the energy again
+    inner = DoubleWellEnergy(dim=1) if dim == 1 else _mixture2()
+    energy = _ValueSpy(inner)
+    n = 301  # 90,601 nodes in 2-D: more than one block
+    ev = QuadratureControlEvaluator(
+        ScalarBeta(beta=0.4, dim=dim), energy, QuadratureGrid(lo=-9.0, hi=9.0, n=n)
+    )
+    axes = np.meshgrid(*[np.linspace(-9.0, 9.0, n)] * dim, indexing="ij")
+    nodes = np.stack([a.ravel() for a in axes], axis=1)
+    assert np.array_equal(np.concatenate(energy.calls), nodes)
+    assert max(len(c) for c in energy.calls) <= hpid.control._ENERGY_BLOCK
+    built = len(energy.calls)
+    x = np.random.default_rng(32).uniform(-1.0, 1.0, size=(4, dim))
+    for t in (0.2, 0.6):
+        ev(t, x)
+        ev(t, x[0])
+    assert len(energy.calls) == built
 
 
 def test_function_evaluator_wraps_plain_drift():
