@@ -12,7 +12,8 @@ Exit codes: 0 success; 2 bad configuration, schema, or input file;
 
 Worker threads come from --threads, else the HPID_THREADS environment
 variable, else the machine's available parallelism. Thread count never
-changes results; it only changes wall time.
+changes results; it only changes wall time. With more than one worker,
+run with OPENBLAS_NUM_THREADS=1: BLAS threads compete with the workers.
 """
 
 import argparse

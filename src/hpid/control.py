@@ -107,19 +107,35 @@ class ControlOutput:
         return self.ess < 1.5
 
 
+_LOG_TINY = float(np.log(np.finfo(float).tiny))  # about -708.4
+
+
 def _softmax_weights(log_w, out=None):
     """Normalized weights from log_w (..., n) plus ESS and max diagnostics;
-    out, if given, receives the weights."""
+    out, if given, receives the weights.
+
+    A log-weight more than log(tiny) below its row max gets weight exactly
+    0 and skips exp, which, like every product after it, is slow on
+    subnormals; such a weight is far below the rounding step of the row
+    sum. One min over the block gates the mask. The largest weight is
+    exp(0) / sum, so max_weight is 1 / sum.
+    """
     m = np.max(log_w, axis=-1, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise AccuracyError(
             "all importance weights vanished; energy is non-finite on every sample"
         )
     w = np.subtract(log_w, m, out=out)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
+    if w.min() < _LOG_TINY:
+        small = w < _LOG_TINY
+        np.exp(w, out=w, where=~small)
+        w[small] = 0.0
+    else:
+        np.exp(w, out=w)
+    total = w.sum(axis=-1, keepdims=True)
+    w /= total
     ess = 1.0 / np.einsum("...n,...n->...", w, w)
-    return w, ess, w.max(axis=-1)
+    return w, ess, 1.0 / total[..., 0]
 
 
 def _drift_output(params: Potential, t, x, xhat, ess, max_w) -> ControlOutput:

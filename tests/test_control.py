@@ -199,6 +199,58 @@ def test_weighted_state_raises_for_a_dead_row_in_a_later_tile():
             _weighted_state(log_w, ys)
 
 
+def test_max_weight_is_the_reciprocal_sum():
+    # the largest weight is exp(0) / sum, so 1 / sum is bitwise the max
+    rng = np.random.default_rng(4)
+    log_w = 5.0 * rng.normal(size=(40, 300))
+    log_w[::3, :4] = log_w[::3, :4].max()  # ties at the row max
+    w, _, max_w = _softmax_weights(log_w)
+    assert np.array_equal(max_w, w.max(axis=-1))
+
+
+def _unflushed_weighted_state(log_w, ys):
+    """The softmax and contraction with every weight exponentiated."""
+    w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
+    ess = 1.0 / np.einsum("...n,...n->...", w, w)
+    return w, _rows_matmul(w, ys), ess, w.max(axis=-1)
+
+
+def test_subnormal_weights_are_flushed_to_zero():
+    tiny_gap = np.log(np.finfo(float).tiny)
+    gaps = np.array([0.0, -1.0, -700.0, -708.3, -708.5, -720.0, -740.0, -745.0])
+    w, _, _ = _softmax_weights(gaps[None, :] + 3.0)
+    assert np.all(w[0, gaps < tiny_gap] == 0.0)
+    assert np.all(w[0, gaps >= tiny_gap] > 0.0)
+
+
+def test_flush_changes_no_diagnostic_bit():
+    # gaps from -800 to 0 cross the subnormal band densely; ESS, the max
+    # weight and x̂ must equal, bit for bit, those of exponentiating all
+    rng = np.random.default_rng(6)
+    n = 4001
+    span = np.linspace(-800.0, 0.0, n)
+    log_w = np.stack([span, rng.permutation(span)])
+    log_w += np.array([[12.5], [-3.0]])
+    ys = rng.normal(size=(n, 3))
+    w_ref, xhat_ref, ess_ref, max_ref = _unflushed_weighted_state(log_w, ys)
+    w, _, _ = _softmax_weights(log_w.copy())
+    flushed = log_w - log_w.max(axis=-1, keepdims=True) < np.log(np.finfo(float).tiny)
+    assert np.any(w_ref[flushed] > 0.0)  # the reference keeps subnormals
+    assert np.array_equal(w, np.where(flushed, 0.0, w_ref))
+    xhat, ess, max_w = _weighted_state(log_w.copy(), ys)
+    assert np.array_equal(xhat, xhat_ref)
+    assert np.array_equal(ess, ess_ref)
+    assert np.array_equal(max_w, max_ref)
+
+
+def test_all_minus_inf_row_still_raises():
+    dead_row = np.array([[0.0, -800.0], [-np.inf, -np.inf]])
+    for log_w in (np.full((1, 6), -np.inf), dead_row):
+        with pytest.raises(AccuracyError):
+            _softmax_weights(log_w)
+
+
 def test_uhis_shared_panel_matches_owned_noise():
     # one (n_is, d) panel shared by the batch rides a factorized fast path;
     # a per-point copy of the identical numbers takes the generic path

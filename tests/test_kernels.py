@@ -406,3 +406,28 @@ def test_batched_points():
     batch = log_kernel_ratio(p, 0.25, x, y)
     single = [log_kernel_ratio(p, 0.25, x[i], y[i]) for i in range(7)]
     assert_allclose(batch, single, rtol=1e-13)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 0.99])
+@pytest.mark.parametrize("d", [1, 2, 25])
+@pytest.mark.parametrize("potential", ["scalar", "matrix"])
+def test_row_set_form_matches_broadcast_form(potential, d, t):
+    # x of shape (..., 1, d) against one (N, d) row set takes the tiled
+    # GEMM form; the same rows broadcast to one block per point take the
+    # elementwise form. A row's bits must not depend on B or its place.
+    rng = np.random.default_rng(d)
+    if potential == "scalar":
+        p = ScalarBeta(beta=0.8, dim=d)
+    else:
+        p = decompose(_random_spd(rng, d))
+    x = 2.0 * rng.normal(size=(130, d))
+    y = 3.0 * rng.normal(size=(40, d))
+    rows = log_kernel_ratio(p, t, x[:, None, :], y)
+    blocks = log_kernel_ratio(p, t, x[:, None, :], np.broadcast_to(y, (130, 40, d)))
+    assert rows.shape == (130, 40)
+    assert_allclose(rows, blocks, rtol=1e-12, atol=1e-14 * np.abs(blocks).max())
+    for B in (1, 15, 17, 130):
+        assert np.array_equal(log_kernel_ratio(p, t, x[:B, None, :], y), rows[:B])
+        assert np.array_equal(log_kernel_ratio(p, t, x[-B:, None, :], y), rows[-B:])
+    lead = log_kernel_ratio(p, t, x.reshape(2, 65, 1, d), y)
+    assert np.array_equal(lead, rows.reshape(2, 65, 40))

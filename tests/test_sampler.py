@@ -38,8 +38,11 @@ def _gauss_cfg(**kw):
     return RunConfig(**base)
 
 
+_DATASET_ROWS = np.array([[1.5, 0.0], [-1.5, 0.5], [0.0, -1.0]])
+
+
 def _dataset_cfg(**kw):
-    target = EmpiricalTarget(np.array([[1.5, 0.0], [-1.5, 0.5], [0.0, -1.0]]))
+    target = EmpiricalTarget(_DATASET_ROWS)
     base = dict(
         n_samples=32,
         sde=SdeConfig(n_steps=16, seed=3),
@@ -99,12 +102,16 @@ def test_runs_are_reproducible_bitwise():
 _ENERGIES = {"mixture": grid_mixture(), "gaussian": GaussianEnergy(dim=2, sigma2=1.0)}
 
 
-def _property_cfg(kind, n_samples, threads, energy="mixture"):
+def _property_cfg(kind, n_samples, threads, energy="mixture", spread=1.0):
     """A short run: uhis with per-trajectory ("uhis") or shared
-    ("uhis-shared") probe noise on an energy of _ENERGIES, or empirical."""
+    ("uhis-shared") probe noise on an energy of _ENERGIES, or empirical
+    on the dataset rows scaled by spread."""
     if kind == "empirical":
         return _dataset_cfg(
-            n_samples=n_samples, sde=SdeConfig(n_steps=6, seed=3), threads=threads
+            n_samples=n_samples,
+            sde=SdeConfig(n_steps=6, seed=3),
+            threads=threads,
+            dataset=EmpiricalTarget(spread * _DATASET_ROWS),
         )
     uhis = UhisConfig(n_is=16, reuse_probe_noise=kind == "uhis-shared")
     return _gauss_cfg(
@@ -133,15 +140,28 @@ def _run_in_chunks(cfg, chunk):
     extra=st.integers(1, 8),
     chunks=st.tuples(st.integers(1, 16), st.integers(1, 16)),
     threads=st.integers(1, 3),
+    spread=st.just(1.0),
 )
-@example(kind="uhis-shared", energy="gaussian", n=3, extra=1, chunks=(1, 2), threads=1)
+@example(
+    kind="uhis-shared", energy="gaussian", n=3, extra=1, chunks=(1, 2), threads=1,
+    spread=1.0,
+)
+# rows this far apart give softmax gaps below -708, whose weights are flushed
+@example(
+    kind="empirical", energy="mixture", n=5, extra=8, chunks=(2, 3), threads=2,
+    spread=10.0,
+)
 @settings(max_examples=40, deadline=None)
-def test_prefix_of_larger_run_is_identical(kind, energy, n, extra, chunks, threads):
+def test_prefix_of_larger_run_is_identical(
+    kind, energy, n, extra, chunks, threads, spread
+):
     # trajectory i depends only on its own index, so growing the
     # population extends the sample set without disturbing it, whatever
     # the chunking and the thread count of either run
-    small = _run_in_chunks(_property_cfg(kind, n, 1, energy), chunks[0])
-    large = _run_in_chunks(_property_cfg(kind, n + extra, threads, energy), chunks[1])
+    small = _run_in_chunks(_property_cfg(kind, n, 1, energy, spread), chunks[0])
+    large = _run_in_chunks(
+        _property_cfg(kind, n + extra, threads, energy, spread), chunks[1]
+    )
     assert np.array_equal(large.terminals[:n], small.terminals)
     assert np.array_equal(large.ess_min[:n], small.ess_min)
 
@@ -152,12 +172,17 @@ def test_prefix_of_larger_run_is_identical(kind, energy, n, extra, chunks, threa
     n=st.integers(1, 12),
     chunk=st.integers(1, 12),
     threads=st.integers(1, 3),
+    spread=st.just(1.0),
 )
-@example(kind="uhis-shared", energy="gaussian", n=12, chunk=5, threads=3)
+@example(kind="uhis-shared", energy="gaussian", n=12, chunk=5, threads=3, spread=1.0)
+# rows this far apart give softmax gaps below -708, whose weights are flushed
+@example(kind="empirical", energy="mixture", n=12, chunk=5, threads=3, spread=10.0)
 @settings(max_examples=40, deadline=None)
-def test_thread_count_does_not_change_outputs(kind, energy, n, chunk, threads):
-    a = _run_in_chunks(_property_cfg(kind, n, 1, energy), chunk)
-    b = _run_in_chunks(_property_cfg(kind, n, threads, energy), chunk)
+def test_thread_count_does_not_change_outputs(
+    kind, energy, n, chunk, threads, spread
+):
+    a = _run_in_chunks(_property_cfg(kind, n, 1, energy, spread), chunk)
+    b = _run_in_chunks(_property_cfg(kind, n, threads, energy, spread), chunk)
     assert np.array_equal(a.terminals, b.terminals)
     assert np.array_equal(a.ess_min, b.ess_min)
     assert a.z_estimate == b.z_estimate
