@@ -110,32 +110,32 @@ class ControlOutput:
 _LOG_TINY = float(np.log(np.finfo(float).tiny))  # about -708.4
 
 
-def _softmax_weights(log_w, out=None):
-    """Normalized weights from log_w (..., n) plus ESS and max diagnostics;
-    out, if given, receives the weights.
+def _exp_weights(log_w):
+    """Unnormalized softmax weights e = exp(log_w - row max), formed in
+    place over log_w (..., n), their row sums T, the ESS T^2 / sum e^2 and
+    the max weight 1 / T (the largest e is exp(0) = 1).
 
     A log-weight more than log(tiny) below its row max gets weight exactly
     0 and skips exp, which, like every product after it, is slow on
-    subnormals; such a weight is far below the rounding step of the row
-    sum. One min over the block gates the mask. The largest weight is
-    exp(0) / sum, so max_weight is 1 / sum.
+    subnormals; such a weight is far below the rounding step of T. Every
+    other e is at least tiny, so e, contracted before any division by T,
+    holds no subnormal. One min over the block gates the mask.
     """
     m = np.max(log_w, axis=-1, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise AccuracyError(
             "all importance weights vanished; energy is non-finite on every sample"
         )
-    w = np.subtract(log_w, m, out=out)
-    if w.min() < _LOG_TINY:
-        small = w < _LOG_TINY
-        np.exp(w, out=w, where=~small)
-        w[small] = 0.0
+    e = np.subtract(log_w, m, out=log_w)
+    if e.min() < _LOG_TINY:
+        small = e < _LOG_TINY
+        np.exp(e, out=e, where=~small)
+        e[small] = 0.0
     else:
-        np.exp(w, out=w)
-    total = w.sum(axis=-1, keepdims=True)
-    w /= total
-    ess = 1.0 / np.einsum("...n,...n->...", w, w)
-    return w, ess, 1.0 / total[..., 0]
+        np.exp(e, out=e)
+    total = e.sum(axis=-1)
+    ess = total * total / np.einsum("...n,...n->...", e, e)
+    return e, total, ess, 1.0 / total
 
 
 def _drift_output(params: Potential, t, x, xhat, ess, max_w) -> ControlOutput:
@@ -155,10 +155,11 @@ def _weighted_state(log_w, ys):
     """Softmax weights of log_w (..., n) and their average of ys: one
     (n, d) row set shared by every index, or one (..., n, d) block each.
 
-    log_w is consumed: its rows are turned into their weights in place,
-    one tile of kernels._KERNEL_TILE rows at a time, so no (..., n)
-    temporary is made. Every row's bits are those of the untiled softmax
-    and contraction.
+    log_w is consumed: its rows are turned into their unnormalized
+    weights in place, one tile of kernels._KERNEL_TILE rows at a time, so
+    no (..., n) temporary is made; the contraction takes them as they are
+    and only its (..., d) result is divided by the row sum. Every row's
+    bits are those of the untiled kernel; a one-hot row gives its point.
     """
     n, d = log_w.shape[-1], ys.shape[-1]
     lead = log_w.shape[:-1]
@@ -169,11 +170,12 @@ def _weighted_state(log_w, ys):
     ess = np.empty(m)
     max_w = np.empty(m)
     for rows in _row_tiles(m):
-        w, ess[rows], max_w[rows] = _softmax_weights(flat[rows], out=flat[rows])
+        e, total, ess[rows], max_w[rows] = _exp_weights(flat[rows])
         if ys.ndim == 2:
-            _rows_matmul(w, ys, out=xhat[rows])
+            _rows_matmul(e, ys, out=xhat[rows])
         else:
-            np.einsum("bn,bnd->bd", w, blocks[rows], out=xhat[rows])
+            np.einsum("bn,bnd->bd", e, blocks[rows], out=xhat[rows])
+        xhat[rows] /= total[:, None]
     return xhat.reshape(lead + (d,)), ess.reshape(lead), max_w.reshape(lead)
 
 
@@ -367,14 +369,14 @@ class QuadratureControlEvaluator:
             log_w = log_kernel_ratio(self.params, t, x[i], self._nodes)
             log_w += self._neg_e
             log_w += self._log_s
-            w, ess[i], max_w[i] = _softmax_weights(log_w, out=log_w)
-            if w[self._boundary].sum() > _BOUNDARY_MASS_TOL:
+            e, total, ess[i], max_w[i] = _exp_weights(log_w)
+            if e[self._boundary].sum() > _BOUNDARY_MASS_TOL * total:
                 raise AccuracyError(
                     "integrand mass at the grid boundary exceeds "
                     f"{_BOUNDARY_MASS_TOL:g} of the total; enlarge "
                     f"[{self.grid.lo}, {self.grid.hi}]"
                 )
-            xhat[i] = w @ self._nodes
+            xhat[i] = (e @ self._nodes) / total
         return _drift_output(self.params, t, x, xhat, ess, max_w)
 
 

@@ -5,10 +5,10 @@ one shared probe panel per step), and every product over trajectory rows
 runs on fixed-size row tiles, so the terminal array is bit-identical no
 matter how the population is chunked or how many worker threads advance
 the chunks, for every drift evaluator and for scalar or matrix beta.
-Chunks exist only to bound the per-step working set: for a shared
-probe panel the (B, n_is) log-weight block dominates, for per-trajectory
-noise the n_is * d probe draws per trajectory, and for a dataset the
-(B, S) log-ratio block.
+Chunks bound the per-step working set (for a shared probe panel the
+(B, n_is) log-weight block dominates, for per-trajectory noise the
+n_is * d probe draws per trajectory, and for a dataset the (B, S)
+log-ratio block) and give every worker thread at least one chunk.
 
 Energy-mode runs also estimate the partition function from the same
 trajectories. Each path's exact log weight against the uncontrolled
@@ -41,7 +41,7 @@ from .control import (
     UhisControlEvaluator,
 )
 from .errors import AccuracyError, ConfigError, IntegrationError
-from .kernels import ScalarBeta, decompose, log_g_plus
+from .kernels import _ROW_TILE, ScalarBeta, decompose, log_g_plus
 from .sde import SdeConfig, integrate_batch
 from .targets import Energy, load_dataset, save_dataset
 
@@ -179,13 +179,20 @@ def _validate_and_build(cfg: RunConfig):
     return params, dim, evaluator, energy, desc
 
 
-def _chunk_size(evaluator, dim: int) -> int:
-    """Trajectories per chunk for the built drift evaluator."""
+def _chunk_size(evaluator, dim: int, threads: int = 1, n_samples: int = 0) -> int:
+    """Trajectories per chunk for the built drift evaluator; with threads
+    > 1, also small enough that n_samples trajectories make at least
+    `threads` chunks, rounded up to whole 16-row tiles."""
     if isinstance(evaluator, UhisControlEvaluator):
-        return max(1, _CHUNK_ELEMENTS // max(1, evaluator.cfg.n_is * dim))
-    if isinstance(evaluator, QuadratureControlEvaluator):
-        return 256  # per-row grid integrals; small chunks keep failures early
-    return max(1, _CHUNK_ELEMENTS // evaluator.target.count)  # (B, S) log-ratios
+        chunk = max(1, _CHUNK_ELEMENTS // max(1, evaluator.cfg.n_is * dim))
+    elif isinstance(evaluator, QuadratureControlEvaluator):
+        chunk = 256  # per-row grid integrals; small chunks keep failures early
+    else:
+        chunk = max(1, _CHUNK_ELEMENTS // evaluator.target.count)  # (B, S) log-ratios
+    if threads > 1:
+        tiles = max(1, -(-n_samples // (threads * _ROW_TILE)))
+        chunk = min(chunk, tiles * _ROW_TILE)
+    return chunk
 
 
 def _log_z_terms(params, energy, batch):
@@ -264,7 +271,7 @@ def run(cfg: RunConfig) -> RunSummary:
     canonical = _canonical_config(cfg, dim, desc)
     chash = config_sha(canonical)
     S = cfg.n_samples
-    chunk = _chunk_size(evaluator, dim)
+    chunk = _chunk_size(evaluator, dim, cfg.threads, S)
     starts = list(range(0, S, chunk))
 
     def _one(start: int):

@@ -43,9 +43,10 @@ class Energy:
     array, which the caller turns into the weights in place. Row i must
     depend on means[i] alone, bitwise, so every product over the rows of
     means is formed with kernels._rows_matmul, never a plain matmul. The
-    built-in energies allocate only the (B, N) result and build it in
-    place, one tile of kernels._KERNEL_TILE rows at a time; the tile
-    changes no bit.
+    built-in energies drop the per-row constants and form the quadratic
+    part, column terms included, as one GEMM of augmented operands; the
+    mixture adds its log-sum over the centers one tile of
+    kernels._KERNEL_TILE rows at a time, in place, and the tile changes no bit.
     """
 
     dim: int
@@ -54,14 +55,13 @@ class Energy:
         raise NotImplementedError
 
 
-def _panel_quadratic(out, rows, panel_t, s, ssq, sigma2):
-    """out = -(2 s rows @ panel_t + ssq) / (2 sigma2), formed in place;
-    panel_t is the C-contiguous (d, N) transpose of the panel."""
-    _rows_matmul(rows, panel_t, out=out)
-    out *= 2.0 * s
-    out += ssq
-    np.negative(out, out=out)
-    out /= 2.0 * sigma2
+def _augmented(dm, s, sigma2, panel, column=0.0):
+    """left (B, d + 1) = [-(s / sigma2) dm, 1] and the C-contiguous right
+    (d + 1, N) = [panel^T; column - s^2 |panel|^2 / (2 sigma2)]: left @ right
+    is the panel's quadratic part with its column term."""
+    left = np.hstack([dm * (-s / sigma2), np.ones((len(dm), 1))])
+    sq = np.einsum("ni,ni->n", panel, panel) * (-s * s / (2.0 * sigma2)) + column
+    return left, np.vstack([panel.T, sq])
 
 
 class GaussianEnergy(Energy):
@@ -84,13 +84,7 @@ class GaussianEnergy(Energy):
         # -E(m + s xi) = const(m) - (2 s (m - mu).xi + s^2 |xi|^2) / (2 sigma2)
         dm = np.asarray(means, dtype=float) - self.mean
         panel = np.asarray(panel, dtype=float)
-        s = float(scale)
-        ssq = s * s * np.einsum("ni,ni->n", panel, panel)
-        panel_t = np.ascontiguousarray(panel.T)
-        out = np.empty((dm.shape[0], panel.shape[0]))
-        for rows in _row_tiles(dm.shape[0]):
-            _panel_quadratic(out[rows], dm[rows], panel_t, s, ssq, self.sigma2)
-        return out
+        return _rows_matmul(*_augmented(dm, float(scale), self.sigma2, panel))
 
 
 class DoubleWellEnergy(Energy):
@@ -157,9 +151,9 @@ class GaussianMixtureEnergy(Energy):
 
     def panel_logw(self, means, scale, panel):
         # -E(y) = -|y|^2/(2 s2) + logsumexp_j[log w_j + (y.c_j - |c_j|^2/2)/s2];
-        # with y = m_i + s xi_n the j-sum splits into a rank-M product, so the
-        # whole (B, N) block is two small GEMMs plus one elementwise log, each
-        # row tile formed in place as ((q + ash) + bsh) + log r.
+        # with y = m_i + s xi_n the j-sum is a_ij + b_nj, shifted by row and
+        # column maxes. Without the row constants a row tile is one augmented
+        # GEMM (its column term carries bsh) plus log of a rank-M product.
         means = np.asarray(means, dtype=float)
         panel = np.asarray(panel, dtype=float)
         s = float(scale)
@@ -170,19 +164,14 @@ class GaussianMixtureEnergy(Energy):
         with np.errstate(divide="ignore"):  # zero weights are legal
             amat = np.log(self.weights) + (mc - 0.5 * cc) / s2
         bmat = (s / s2) * (panel @ c.T)
-        ash = amat.max(axis=1)
         bsh = bmat.max(axis=1)
-        ea = np.exp(amat - ash[:, None])
+        ea = np.exp(amat - amat.max(axis=1)[:, None])
         ebt = np.ascontiguousarray(np.exp(bmat - bsh[:, None]).T)
-        ssq = s * s * np.einsum("ni,ni->n", panel, panel)
-        panel_t = np.ascontiguousarray(panel.T)
+        left, right = _augmented(means, s, s2, panel, bsh)
         out = np.empty((means.shape[0], panel.shape[0]))
         r = np.empty((min(_KERNEL_TILE, means.shape[0]), panel.shape[0]))
         for rows in _row_tiles(means.shape[0]):
-            q = out[rows]
-            _panel_quadratic(q, means[rows], panel_t, s, ssq, s2)
-            q += ash[rows, None]
-            q += bsh
+            q = _rows_matmul(left[rows], right, out=out[rows])
             rt = _rows_matmul(ea[rows], ebt, out=r[: len(q)])
             with np.errstate(divide="ignore"):  # underflown products drop out
                 np.log(rt, out=rt)

@@ -22,7 +22,7 @@ from hpid.control import (
     QuadratureGrid,
     UhisConfig,
     UhisControlEvaluator,
-    _softmax_weights,
+    _exp_weights,
     _weighted_state,
     empirical_control,
     quadrature_control,
@@ -181,13 +181,15 @@ def test_weighted_state_tiles_change_no_bit(B, shared):
     xhat, ess, max_w = _weighted_state(log_w.copy(), ys)  # consumes its block
     assert xhat.shape == (B, d) and ess.shape == max_w.shape == (B,)
     for i in range(B):
-        w, ref_ess, ref_max = _softmax_weights(log_w[i : i + 1])
+        e = np.exp(log_w[i : i + 1] - log_w[i].max())
+        total = e.sum(axis=-1)
         if shared:
-            ref = _rows_matmul(w, ys)
+            ref = _rows_matmul(e, ys)
         else:
-            ref = np.einsum("...n,...nd->...d", w, ys[i : i + 1])
-        assert np.array_equal(xhat[i], ref[0])
-        assert ess[i] == ref_ess[0] and max_w[i] == ref_max[0]
+            ref = np.einsum("...n,...nd->...d", e, ys[i : i + 1])
+        assert np.array_equal(xhat[i], ref[0] / total[0])
+        assert ess[i] == total[0] * total[0] / np.einsum("...n,...n->...", e, e)[0]
+        assert max_w[i] == 1.0 / total[0]
 
 
 def test_weighted_state_raises_for_a_dead_row_in_a_later_tile():
@@ -204,24 +206,45 @@ def test_max_weight_is_the_reciprocal_sum():
     rng = np.random.default_rng(4)
     log_w = 5.0 * rng.normal(size=(40, 300))
     log_w[::3, :4] = log_w[::3, :4].max()  # ties at the row max
-    w, _, max_w = _softmax_weights(log_w)
-    assert np.array_equal(max_w, w.max(axis=-1))
+    e, total, _, max_w = _exp_weights(log_w)
+    assert np.array_equal(max_w, (e / total[:, None]).max(axis=-1))
 
 
 def _unflushed_weighted_state(log_w, ys):
     """The softmax and contraction with every weight exponentiated."""
-    w = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
-    w /= w.sum(axis=-1, keepdims=True)
-    ess = 1.0 / np.einsum("...n,...n->...", w, w)
-    return w, _rows_matmul(w, ys), ess, w.max(axis=-1)
+    e = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+    total = e.sum(axis=-1)
+    ess = total * total / np.einsum("...n,...n->...", e, e)
+    return e, _rows_matmul(e, ys) / total[:, None], ess, 1.0 / total
+
+
+_FLUSH_GAPS = np.array([0.0, -1.0, -700.0, -708.3, -708.5, -720.0, -740.0, -745.0])
 
 
 def test_subnormal_weights_are_flushed_to_zero():
     tiny_gap = np.log(np.finfo(float).tiny)
-    gaps = np.array([0.0, -1.0, -700.0, -708.3, -708.5, -720.0, -740.0, -745.0])
-    w, _, _ = _softmax_weights(gaps[None, :] + 3.0)
-    assert np.all(w[0, gaps < tiny_gap] == 0.0)
-    assert np.all(w[0, gaps >= tiny_gap] > 0.0)
+    e, _, _, _ = _exp_weights(_FLUSH_GAPS[None, :] + 3.0)
+    assert np.all(e[0, _FLUSH_GAPS < tiny_gap] == 0.0)
+    assert np.all(e[0, _FLUSH_GAPS >= tiny_gap] > 0.0)
+
+
+def test_contraction_sees_no_subnormal_weight(monkeypatch):
+    # a gap of -708.3 keeps its weight, exp(-708.3) = 2.45e-308 >= tiny; in
+    # this row (sum 1.37) dividing by the sum before the contraction would
+    # make it 1.79e-308, a subnormal that puts the GEMM on its slow path
+    operands = []
+    inner = hpid.control._rows_matmul
+
+    def spy(a, b, out=None):
+        operands.append(np.array(a))
+        return inner(a, b, out=out)
+
+    monkeypatch.setattr(hpid.control, "_rows_matmul", spy)
+    ys = np.random.default_rng(5).normal(size=(len(_FLUSH_GAPS), 2))
+    _weighted_state(_FLUSH_GAPS[None, :] + 3.0, ys)
+    (w,) = operands
+    assert not np.any((w > 0.0) & (w < np.finfo(float).tiny))
+    assert np.any(w == np.exp(-708.3))
 
 
 def test_flush_changes_no_diagnostic_bit():
@@ -233,11 +256,11 @@ def test_flush_changes_no_diagnostic_bit():
     log_w = np.stack([span, rng.permutation(span)])
     log_w += np.array([[12.5], [-3.0]])
     ys = rng.normal(size=(n, 3))
-    w_ref, xhat_ref, ess_ref, max_ref = _unflushed_weighted_state(log_w, ys)
-    w, _, _ = _softmax_weights(log_w.copy())
+    e_ref, xhat_ref, ess_ref, max_ref = _unflushed_weighted_state(log_w, ys)
+    e, _, _, _ = _exp_weights(log_w.copy())
     flushed = log_w - log_w.max(axis=-1, keepdims=True) < np.log(np.finfo(float).tiny)
-    assert np.any(w_ref[flushed] > 0.0)  # the reference keeps subnormals
-    assert np.array_equal(w, np.where(flushed, 0.0, w_ref))
+    assert np.any(e_ref[flushed] > 0.0)  # the reference keeps subnormals
+    assert np.array_equal(e, np.where(flushed, 0.0, e_ref))
     xhat, ess, max_w = _weighted_state(log_w.copy(), ys)
     assert np.array_equal(xhat, xhat_ref)
     assert np.array_equal(ess, ess_ref)
@@ -248,7 +271,7 @@ def test_all_minus_inf_row_still_raises():
     dead_row = np.array([[0.0, -800.0], [-np.inf, -np.inf]])
     for log_w in (np.full((1, 6), -np.inf), dead_row):
         with pytest.raises(AccuracyError):
-            _softmax_weights(log_w)
+            _exp_weights(log_w)
 
 
 def test_uhis_shared_panel_matches_owned_noise():

@@ -1,9 +1,11 @@
-"""Every imported name is used.
+"""Every imported name is used, and every private helper of the package.
 
 No linter ships with the project, so this walks the syntax tree of each
 source file and fails on a name that an import binds but no expression
 reads. The package's __init__.py is skipped: its imports are the public
-re-exports listed in __all__.
+re-exports listed in __all__. It also fails on a module-level private
+function or class of src/hpid that no file of src/hpid reads, so that a
+helper is not kept alive by the tests alone.
 """
 
 import ast
@@ -48,3 +50,46 @@ def test_no_unused_imports():
         for line, name in _unused_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def _unread_private_defs(trees):
+    """(module, line, name) of each module-level private def or class in
+    trees (module -> syntax tree) that no tree reads by name, by
+    attribute or by import."""
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(a.name for a in n.names)
+    return [
+        (module, node.lineno, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in read
+    ]
+
+
+def test_scan_flags_an_unread_private_def():
+    trees = {
+        "a": ast.parse("def _used():\n    pass\ndef _dead():\n    pass\n"),
+        "b": ast.parse("from a import _used\nclass _Gone:\n    pass\n_used()\n"),
+    }
+    assert _unread_private_defs(trees) == [("a", 3, "_dead"), ("b", 2, "_Gone")]
+
+
+def test_no_unread_private_defs():
+    package = sorted((ROOT / "src/hpid").rglob("*.py"))
+    trees = {
+        p.relative_to(ROOT).as_posix(): ast.parse(p.read_text(), str(p))
+        for p in package
+    }
+    assert "src/hpid/control.py" in trees
+    unread = [f"{m}:{line}: {name}" for m, line, name in _unread_private_defs(trees)]
+    assert not unread, "private but never read in src/hpid:\n" + "\n".join(unread)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from unittest import mock
 
@@ -186,6 +187,36 @@ def test_thread_count_does_not_change_outputs(
     assert np.array_equal(a.terminals, b.terminals)
     assert np.array_equal(a.ess_min, b.ess_min)
     assert a.z_estimate == b.z_estimate
+
+
+def test_threads_get_a_chunk_each(monkeypatch):
+    # n_is 1,000 at d 2 fits 2,000 trajectories in the working-set budget,
+    # so 1,000 paths would be one chunk and a second thread idle; at two
+    # threads the run is cut into whole 16-row tiles, one chunk per thread
+    # at least, without changing a bit
+    sizes = []
+    inner = sampler_mod.integrate_batch
+
+    def counting(*a, **k):
+        sizes.append(k["n_trajectories"])
+        return inner(*a, **k)
+
+    monkeypatch.setattr(sampler_mod, "integrate_batch", counting)
+    cfg = _gauss_cfg(
+        n_samples=1000,
+        sde=SdeConfig(n_steps=4, seed=7),
+        beta=0.5,
+        energy=grid_mixture(),
+        uhis=UhisConfig(n_is=1000, reuse_probe_noise=True),
+    )
+    one = run(cfg)
+    assert sizes == [1000]
+    sizes.clear()
+    two = run(dataclasses.replace(cfg, threads=2))
+    assert len(sizes) >= 2 and sum(sizes) == 1000
+    assert all(n % 16 == 0 for n in sizes[:-1])
+    assert np.array_equal(one.terminals, two.terminals)
+    assert one.z_estimate == two.z_estimate
 
 
 def test_quadrature_oracle_mode():

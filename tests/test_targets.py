@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
 from hpid.errors import FormatError, InputError
-from hpid.kernels import _rows_matmul
+from hpid.kernels import _rows_matmul, decompose
+from hpid.stationary import universal_probe
 from hpid.targets import (
     DoubleWellEnergy,
     GaussianEnergy,
@@ -102,20 +103,24 @@ def test_panel_logw_survives_distant_means():
 
 
 def _untiled_panel_logw(energy, means, s, panel):
-    # the whole-block expressions, in the operation order panel_logw keeps
-    pansq = np.einsum("ni,ni->n", panel, panel)
+    # the whole-block expressions, in the operation order panel_logw keeps:
+    # one product [-(s/s2) (m - mu), 1] @ [panel^T; v + column shift], the
+    # per-row constants dropped, plus the mixture's log rank-M product
+    s2 = energy.sigma2
+    v = np.einsum("ni,ni->n", panel, panel) * (-s * s / (2.0 * s2))
+    ones = np.ones((len(means), 1))
     if isinstance(energy, GaussianEnergy):
-        cross = _rows_matmul(means - energy.mean, panel.T)
-        return -(2.0 * s * cross + s * s * pansq) / (2.0 * energy.sigma2)
-    s2, c = energy.sigma2, energy.centers
+        left = np.hstack([(means - energy.mean) * (-s / s2), ones])
+        return _rows_matmul(left, np.vstack([panel.T, v]))
+    c = energy.centers
     cc = np.einsum("mi,mi->m", c, c)
     with np.errstate(divide="ignore"):
         amat = np.log(energy.weights) + (_rows_matmul(means, c.T) - 0.5 * cc) / s2
         bmat = (s / s2) * (panel @ c.T)
         ash, bsh = amat.max(axis=1), bmat.max(axis=1)
         r = _rows_matmul(np.exp(amat - ash[:, None]), np.exp(bmat - bsh[:, None]).T)
-        q = -(2.0 * s * _rows_matmul(means, panel.T) + s * s * pansq) / (2.0 * s2)
-        return q + ash[:, None] + bsh[None, :] + np.log(r)
+        q = _rows_matmul(np.hstack([means * (-s / s2), ones]), np.vstack([panel.T, v + bsh]))
+        return q + np.log(r)
 
 
 @pytest.mark.parametrize("B", [1, 15, 63, 64, 65, 130])
@@ -130,6 +135,26 @@ def test_panel_logw_tiles_change_no_bit(B):
         got = energy.panel_logw(means, 0.6, panel)
         assert got.shape == (B, 300)
         assert np.array_equal(got, _untiled_panel_logw(energy, means, 0.6, panel))
+
+
+@pytest.mark.parametrize(
+    "energy",
+    [GaussianEnergy(dim=2, sigma2=0.4, mean=[0.5, -0.2]), grid_mixture()],
+)
+def test_panel_logw_matches_energy_on_a_matrix_beta_panel(energy):
+    # a matrix beta's probe keeps scale 1.0 and spreads the panel per axis;
+    # the block is still -E up to a per-row constant, with B off a multiple
+    # of 16
+    rng = np.random.default_rng(17)
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    params = decompose(q @ np.diag([0.3, 1.4]) @ q.T)
+    probe = universal_probe(params, 0.6, rng.normal(size=(37, 2)))
+    scale, panel = probe.spread(rng.normal(size=(200, 2)))
+    assert scale == 1.0
+    fast = energy.panel_logw(probe.mean, scale, panel)
+    block = probe.mean[:, None, :] + panel[None, :, :]
+    diff = fast - -np.asarray(energy.value(block), dtype=float)
+    assert np.all(np.ptp(diff, axis=1) < 1e-9)
 
 
 def test_offset_energy_shifts_value_only(offset_energy):
