@@ -33,7 +33,7 @@ from .config import (
     load_config_file,
     resolve,
 )
-from .control import UhisConfig, quadrature_control, uhis_control
+from .control import QuadratureControlEvaluator, UhisConfig, uhis_control
 from .diagnostics import (
     autocorrelation,
     bootstrap_transition_gap,
@@ -308,10 +308,11 @@ def _cmd_oracle_check(args) -> int:
     worst_abs = 0.0
     min_ess = math.inf
     n_low = 0
+    quadrature = QuadratureControlEvaluator(params, energy)
     for t in ts:
-        for x in xs:
+        u_qs = quadrature(t, np.array(xs)[:, None]).drift[:, 0]
+        for x, u_q in zip(xs, u_qs.tolist()):
             xv = np.array([x])
-            u_q = float(quadrature_control(params, t, xv, energy)[0])
             xi = normals_from(rng, (args.n_is, 1))
             out = uhis_control(params, cfg, t, xv, energy, xi)
             u_is = float(out.drift[0])

@@ -10,6 +10,10 @@ Three interchangeable ways to estimate the optimal drift at (t, x):
 * ``quadrature_control`` — direct fixed-grid integration in 1 or 2
   dimensions; slow, but the reference the other two are tested against.
 
+The dataset rows, the wide step's normals and the quadrature nodes are
+fixed row sets: one online softmax folds their column tiles of at most
+kernels._COL_TILE rows, so a step holds B x _COL_TILE log-weights.
+
 Evaluator classes at the bottom adapt each to the integrator protocol:
 ``noise_shape(dim)`` declares the standard normals a call needs (None for
 deterministic evaluators), which the caller always passes as xi, and
@@ -28,6 +32,7 @@ from .errors import (
     InputError,
 )
 from .kernels import (
+    _COL_TILE,
     Potential,
     _as_points,
     _dot,
@@ -108,34 +113,20 @@ class ControlOutput:
 
 
 _LOG_TINY = float(np.log(np.finfo(float).tiny))  # about -708.4
+_VANISHED = "all importance weights vanished; energy is non-finite on every sample"
 
 
-def _exp_weights(log_w):
-    """Unnormalized softmax weights e = exp(log_w - row max), formed in
-    place over log_w (..., n), their row sums T, the ESS T^2 / sum e^2 and
-    the max weight 1 / T (the largest e is exp(0) = 1).
-
-    A log-weight more than log(tiny) below its row max gets weight exactly
-    0 and skips exp, which, like every product after it, is slow on
-    subnormals; such a weight is far below the rounding step of T. Every
-    other e is at least tiny, so e, contracted before any division by T,
-    holds no subnormal. One min over the block gates the mask.
-    """
-    m = np.max(log_w, axis=-1, keepdims=True)
-    if not np.all(np.isfinite(m)):
-        raise AccuracyError(
-            "all importance weights vanished; energy is non-finite on every sample"
-        )
-    e = np.subtract(log_w, m, out=log_w)
-    if e.min() < _LOG_TINY:
-        small = e < _LOG_TINY
-        np.exp(e, out=e, where=~small)
-        e[small] = 0.0
+def _flushed_exp(gaps):
+    """exp(gaps) in place; a gap below log(tiny) gives exactly 0 and skips exp,
+    slow on subnormals like every product after it. Such a weight is far below
+    its row sum's rounding step, and a contraction before any division sees none."""
+    if gaps.min() < _LOG_TINY:
+        small = gaps < _LOG_TINY
+        np.exp(gaps, out=gaps, where=~small)
+        gaps[small] = 0.0
     else:
-        np.exp(e, out=e)
-    total = e.sum(axis=-1)
-    ess = total * total / np.einsum("...n,...n->...", e, e)
-    return e, total, ess, 1.0 / total
+        np.exp(gaps, out=gaps)
+    return gaps
 
 
 def _drift_output(params: Potential, t, x, xhat, ess, max_w) -> ControlOutput:
@@ -151,32 +142,57 @@ def _drift_output(params: Potential, t, x, xhat, ess, max_w) -> ControlOutput:
     )
 
 
-def _weighted_state(log_w, ys):
-    """Softmax weights of log_w (..., n) and their average of ys: one
-    (n, d) row set shared by every index, or one (..., n, d) block each.
+def _weighted_state(tiles):
+    """x̂, ESS and max weight of the softmax of each row of log-weights, folded
+    over column tiles (log_w (..., n), ys), ys one (n, k) row set shared by
+    every row or one (..., n, k) block each, by an online softmax (Milakov &
+    Gimelshein, arXiv:1805.02867). log_w becomes its weights in place,
+    kernels._KERNEL_TILE rows at a time. One column tile gives the untiled
+    kernel's bits and a one-hot row its point; NaN, +inf or an all -inf row
+    raises."""
+    top = None
+    for log_w, ys in tiles:
+        n, k = log_w.shape[-1], ys.shape[-1]
+        flat = log_w.reshape(-1, n)
+        if top is None:
+            lead, m = log_w.shape[:-1], flat.shape[0]
+            top, total, sq, xsum = np.full(m, -np.inf), 0.0, 0.0, -0.0  # -0.0 + v is v
+        new, shift, tile_sum, tile_sq = np.empty((4, m))
+        part = np.empty((m, k))
+        for rows in _row_tiles(m):
+            new[rows] = np.maximum(top[rows], flat[rows].max(axis=-1))
+            if not np.all(new[rows] < np.inf):
+                raise AccuracyError(_VANISHED)
+            shift[rows] = np.where(new[rows] > -np.inf, new[rows], 0.0)  # 0: no weight
+            e = _flushed_exp(np.subtract(flat[rows], shift[rows, None], out=flat[rows]))
+            tile_sum[rows] = e.sum(axis=-1)
+            tile_sq[rows] = np.einsum("...n,...n->...", e, e)
+            if ys.ndim == 2:
+                _rows_matmul(e, ys, out=part[rows])
+            else:
+                np.einsum("bn,bnd->bd", e, ys.reshape(m, n, k)[rows], out=part[rows])
+        keep = _flushed_exp(top - shift)  # moves the earlier sums onto the new max
+        top = new
+        total, sq = total * keep + tile_sum, sq * keep * keep + tile_sq
+        xsum = xsum * keep[:, None] + part
+    if not np.all(top > -np.inf):
+        raise AccuracyError(_VANISHED)
+    xsum /= total[:, None]
+    ess, max_w = total * total / sq, 1.0 / total
+    return xsum.reshape(lead + (k,)), ess.reshape(lead), max_w.reshape(lead)
 
-    log_w is consumed: its rows are turned into their unnormalized
-    weights in place, one tile of kernels._KERNEL_TILE rows at a time, so
-    no (..., n) temporary is made; the contraction takes them as they are
-    and only its (..., d) result is divided by the row sum. Every row's
-    bits are those of the untiled kernel; a one-hot row gives its point.
-    """
-    n, d = log_w.shape[-1], ys.shape[-1]
-    lead = log_w.shape[:-1]
-    flat = log_w.reshape(-1, n)
-    m = flat.shape[0]
-    blocks = ys if ys.ndim == 2 else ys.reshape(m, n, d)
-    xhat = np.empty((m, d))
-    ess = np.empty(m)
-    max_w = np.empty(m)
-    for rows in _row_tiles(m):
-        e, total, ess[rows], max_w[rows] = _exp_weights(flat[rows])
-        if ys.ndim == 2:
-            _rows_matmul(e, ys, out=xhat[rows])
-        else:
-            np.einsum("bn,bnd->bd", e, blocks[rows], out=xhat[rows])
-        xhat[rows] /= total[:, None]
-    return xhat.reshape(lead + (d,)), ess.reshape(lead), max_w.reshape(lead)
+
+def _row_set_tiles(params: Potential, t, x, points, *fixed):
+    """Tiles (log_w, points) of x (..., d) against a row set, points (N, k)
+    or one (..., N, k) block per x, at most _COL_TILE rows each: one
+    log_kernel_ratio call on the first d columns, the others ride along to
+    the contraction, plus the fixed per-row terms, (N,) or (..., N), in order."""
+    for lo in range(0, points.shape[-2], _COL_TILE):
+        tile = points[..., lo : lo + _COL_TILE, :]
+        log_w = log_kernel_ratio(params, t, x[..., None, :], tile[..., : params.dim])
+        for c in fixed:
+            log_w += c[..., lo : lo + _COL_TILE]
+        yield log_w, tile
 
 
 def uhis_control(
@@ -218,22 +234,18 @@ def uhis_control(
         # the normals are taken in the eigenbasis, as the universal probe
         # takes them; N(0, I)'s normalizer is constant in y and cancels
         ys = params.from_eigenbasis(xi)
-        log_w = (
-            log_kernel_ratio(params, t, x[..., None, :], ys)
-            + 0.5 * _dot(ys, ys)
-            - np.asarray(energy.value(ys), dtype=float)
-        )
-        xhat, ess, max_w = _weighted_state(log_w, ys)
+        fixed = 0.5 * _dot(ys, ys), -np.asarray(energy.value(ys), dtype=float)
+        xhat, ess, max_w = _weighted_state(_row_set_tiles(params, t, x, ys, *fixed))
     elif x.ndim == 2 and xi.ndim == 2 and panel_fn is not None:
         # a shared panel never materializes (B, N, d): y = mean + scale * row
         scale, panel = probe.spread(xi)
         log_w = np.asarray(panel_fn(probe.mean, scale, panel), dtype=float)
-        xbar, ess, max_w = _weighted_state(log_w, panel)
+        xbar, ess, max_w = _weighted_state([(log_w, panel)])
         xhat = probe.mean + scale * xbar
     else:
         ys = probe.draw(xi)
         log_w = -np.asarray(energy.value(ys), dtype=float)
-        xhat, ess, max_w = _weighted_state(log_w, ys)
+        xhat, ess, max_w = _weighted_state([(log_w, ys)])
     return _drift_output(params, t, x, xhat, ess, max_w)
 
 
@@ -251,8 +263,7 @@ def empirical_control(
         raise InputError(
             f"target dimension {target.dim} does not match params.dim {params.dim}"
         )
-    log_w = log_kernel_ratio(params, t, x[..., None, :], target.samples)
-    xhat, ess, max_w = _weighted_state(log_w, target.samples)
+    xhat, ess, max_w = _weighted_state(_row_set_tiles(params, t, x, target.samples))
     return _drift_output(params, t, x, xhat, ess, max_w)
 
 
@@ -274,12 +285,11 @@ class QuadratureGrid:
 
 
 _BOUNDARY_MASS_TOL = 1e-8
-_ENERGY_BLOCK = 65_536  # grid nodes per energy call while an evaluator is built
 
 
 def _product_grid(grid: QuadratureGrid, d: int):
-    """Nodes (n^d, d), log Simpson weights and boundary mask of the product
-    grid in d = 1 or 2 dimensions."""
+    """Points (n^d, d + 1) of the product grid in d = 1 or 2 dimensions, the
+    nodes and their boundary indicator, and the log Simpson weights."""
     if d not in (1, 2):
         raise InputError(f"quadrature reference supports dim 1 or 2, got {d}")
     axis = np.linspace(grid.lo, grid.hi, grid.n)
@@ -287,12 +297,10 @@ def _product_grid(grid: QuadratureGrid, d: int):
     s1[1:-1:2] = 4.0
     s1[2:-1:2] = 2.0
     s1 *= (grid.hi - grid.lo) / (grid.n - 1) / 3.0
-    edge = np.zeros(grid.n, dtype=bool)
-    edge[0] = edge[-1] = True
     nodes = np.stack([a.ravel() for a in np.meshgrid(*[axis] * d, indexing="ij")], 1)
+    edge = np.any((nodes == grid.lo) | (nodes == grid.hi), axis=1)
     log_s = np.log(reduce(np.multiply.outer, [s1] * d)).ravel()
-    boundary = reduce(np.logical_or.outer, [edge] * d).ravel()
-    return nodes, log_s, boundary
+    return np.column_stack([nodes, edge]), log_s
 
 
 def quadrature_control(
@@ -342,42 +350,33 @@ class EmpiricalControlEvaluator:
 class QuadratureControlEvaluator:
     """Deterministic reference drift by grid integration (d <= 2).
 
-    The grid and -E on its nodes are built once, here; a row then costs
-    one kernel ratio over the nodes and one softmax.
-    """
+    The grid and its node term log Simpson - E are built once, here; a call
+    weighs its batch against the nodes as one row set, whose contracted
+    edge indicator gives the weight on the grid boundary."""
 
     def __init__(self, params: Potential, energy, grid: QuadratureGrid | None = None):
         self.params = params
         self.energy = energy
         self.grid = grid if grid is not None else QuadratureGrid()
-        self._nodes, self._log_s, self._boundary = _product_grid(self.grid, params.dim)
-        neg_e = np.empty(len(self._nodes))
-        for lo in range(0, len(neg_e), _ENERGY_BLOCK):
-            block = slice(lo, lo + _ENERGY_BLOCK)
-            neg_e[block] = energy.value(self._nodes[block])
-        self._neg_e = np.negative(neg_e, out=neg_e)
+        self._points, self._node_term = _product_grid(self.grid, params.dim)
+        for lo in range(0, len(self._points), _COL_TILE):
+            tile = self._points[lo : lo + _COL_TILE, : params.dim]
+            self._node_term[lo : lo + _COL_TILE] -= energy.value(tile)
 
     def noise_shape(self, dim: int):
         return None
 
     def __call__(self, t, x, xi=None) -> ControlOutput:
         x = _as_points(self.params, "x", x)
-        xhat = np.empty_like(x)
-        ess = np.empty(x.shape[:-1])
-        max_w = np.empty(x.shape[:-1])
-        for i in np.ndindex(x.shape[:-1]):
-            log_w = log_kernel_ratio(self.params, t, x[i], self._nodes)
-            log_w += self._neg_e
-            log_w += self._log_s
-            e, total, ess[i], max_w[i] = _exp_weights(log_w)
-            if e[self._boundary].sum() > _BOUNDARY_MASS_TOL * total:
-                raise AccuracyError(
-                    "integrand mass at the grid boundary exceeds "
-                    f"{_BOUNDARY_MASS_TOL:g} of the total; enlarge "
-                    f"[{self.grid.lo}, {self.grid.hi}]"
-                )
-            xhat[i] = (e @ self._nodes) / total
-        return _drift_output(self.params, t, x, xhat, ess, max_w)
+        tiles = _row_set_tiles(self.params, t, x, self._points, self._node_term)
+        xhat, ess, max_w = _weighted_state(tiles)
+        if np.any(xhat[..., -1] > _BOUNDARY_MASS_TOL):
+            raise AccuracyError(
+                "integrand mass at the grid boundary exceeds "
+                f"{_BOUNDARY_MASS_TOL:g} of the total; enlarge "
+                f"[{self.grid.lo}, {self.grid.hi}]"
+            )
+        return _drift_output(self.params, t, x, xhat[..., :-1], ess, max_w)
 
 
 class FunctionControlEvaluator:

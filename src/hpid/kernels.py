@@ -42,6 +42,7 @@ _ROW_TILE = 16  # rows per GEMM in _rows_matmul
 # rows per tile of the (B, N) weight kernels; a multiple of _ROW_TILE, so a
 # tile's GEMMs see the same 16-row groups the whole block would
 _KERNEL_TILE = 4 * _ROW_TILE
+_COL_TILE = 4096  # rows of a fixed row set per column tile of those kernels
 
 _EIG_CLAMP = 1e-12  # eigenvalues above -this are clamped to zero
 _EIG_REJECT = -1e-8  # eigenvalues below this reject the matrix

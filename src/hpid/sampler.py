@@ -7,8 +7,9 @@ matter how the population is chunked or how many worker threads advance
 the chunks, for every drift evaluator and for scalar or matrix beta.
 Chunks bound the per-step working set (for a shared probe panel the
 (B, n_is) log-weight block dominates, for per-trajectory noise the
-n_is * d probe draws per trajectory, and for a dataset the (B, S)
-log-ratio block) and give every worker thread at least one chunk.
+n_is * d probe draws per trajectory, and for a dataset or a quadrature
+grid the B x kernels._COL_TILE log-weights of one column tile) and give
+every worker thread at least one chunk.
 
 Energy-mode runs also estimate the partition function from the same
 trajectories. Each path's exact log weight against the uncontrolled
@@ -41,7 +42,7 @@ from .control import (
     UhisControlEvaluator,
 )
 from .errors import AccuracyError, ConfigError, IntegrationError
-from .kernels import _ROW_TILE, ScalarBeta, decompose, log_g_plus
+from .kernels import _COL_TILE, _ROW_TILE, ScalarBeta, decompose, log_g_plus
 from .sde import SdeConfig, integrate_batch
 from .targets import Energy, load_dataset, save_dataset
 
@@ -180,15 +181,13 @@ def _validate_and_build(cfg: RunConfig):
 
 
 def _chunk_size(evaluator, dim: int, threads: int = 1, n_samples: int = 0) -> int:
-    """Trajectories per chunk for the built drift evaluator; with threads
-    > 1, also small enough that n_samples trajectories make at least
-    `threads` chunks, rounded up to whole 16-row tiles."""
+    """Trajectories per chunk for the built drift evaluator, a row set's in
+    whole 16-row tiles; with threads > 1, also few enough that n_samples
+    make at least `threads` chunks, rounded up to whole 16-row tiles."""
     if isinstance(evaluator, UhisControlEvaluator):
         chunk = max(1, _CHUNK_ELEMENTS // max(1, evaluator.cfg.n_is * dim))
-    elif isinstance(evaluator, QuadratureControlEvaluator):
-        chunk = 256  # per-row grid integrals; small chunks keep failures early
     else:
-        chunk = max(1, _CHUNK_ELEMENTS // evaluator.target.count)  # (B, S) log-ratios
+        chunk = max(1, _CHUNK_ELEMENTS // (_COL_TILE * _ROW_TILE)) * _ROW_TILE
     if threads > 1:
         tiles = max(1, -(-n_samples // (threads * _ROW_TILE)))
         chunk = min(chunk, tiles * _ROW_TILE)

@@ -4,6 +4,7 @@ Frozen literals come from tools/make_oracles.py (mpmath, 50 digits).
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
+from scipy.stats import norm
 
 import hpid.control
 from hpid.control import (
@@ -22,20 +25,28 @@ from hpid.control import (
     QuadratureGrid,
     UhisConfig,
     UhisControlEvaluator,
-    _exp_weights,
+    _flushed_exp,
+    _row_set_tiles,
     _weighted_state,
     empirical_control,
     quadrature_control,
     uhis_control,
 )
 from hpid.errors import AccuracyError, InputError
-from hpid.kernels import ScalarBeta, _rows_matmul, decompose, drift_prefactors
+from hpid.kernels import (
+    ScalarBeta,
+    _h_probe,
+    _rows_matmul,
+    decompose,
+    drift_prefactors,
+)
 from hpid.rng import normals_from
 from hpid.stationary import universal_probe
 from hpid.targets import (
     DoubleWellEnergy,
     GaussianEnergy,
     GaussianMixtureEnergy,
+    grid_mixture,
 )
 
 
@@ -178,7 +189,7 @@ def test_weighted_state_tiles_change_no_bit(B, shared):
     log_w = 30.0 * rng.normal(size=(B, n))
     log_w[:, ::7] = -np.inf  # underflown weights drop out
     ys = rng.normal(size=(n, d) if shared else (B, n, d))
-    xhat, ess, max_w = _weighted_state(log_w.copy(), ys)  # consumes its block
+    xhat, ess, max_w = _weighted_state([(log_w.copy(), ys)])  # consumes its block
     assert xhat.shape == (B, d) and ess.shape == max_w.shape == (B,)
     for i in range(B):
         e = np.exp(log_w[i : i + 1] - log_w[i].max())
@@ -198,7 +209,7 @@ def test_weighted_state_raises_for_a_dead_row_in_a_later_tile():
         log_w = np.zeros((130, 16))
         log_w[129] = bad
         with pytest.raises(AccuracyError):
-            _weighted_state(log_w, ys)
+            _weighted_state([(log_w, ys)])
 
 
 def test_max_weight_is_the_reciprocal_sum():
@@ -206,8 +217,10 @@ def test_max_weight_is_the_reciprocal_sum():
     rng = np.random.default_rng(4)
     log_w = 5.0 * rng.normal(size=(40, 300))
     log_w[::3, :4] = log_w[::3, :4].max()  # ties at the row max
-    e, total, _, max_w = _exp_weights(log_w)
-    assert np.array_equal(max_w, (e / total[:, None]).max(axis=-1))
+    e = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+    ys = rng.normal(size=(300, 2))
+    _, _, max_w = _weighted_state([(log_w, ys)])
+    assert np.array_equal(max_w, (e / e.sum(axis=-1)[:, None]).max(axis=-1))
 
 
 def _unflushed_weighted_state(log_w, ys):
@@ -223,9 +236,9 @@ _FLUSH_GAPS = np.array([0.0, -1.0, -700.0, -708.3, -708.5, -720.0, -740.0, -745.
 
 def test_subnormal_weights_are_flushed_to_zero():
     tiny_gap = np.log(np.finfo(float).tiny)
-    e, _, _, _ = _exp_weights(_FLUSH_GAPS[None, :] + 3.0)
-    assert np.all(e[0, _FLUSH_GAPS < tiny_gap] == 0.0)
-    assert np.all(e[0, _FLUSH_GAPS >= tiny_gap] > 0.0)
+    e = _flushed_exp(_FLUSH_GAPS.copy())
+    assert np.all(e[_FLUSH_GAPS < tiny_gap] == 0.0)
+    assert np.all(e[_FLUSH_GAPS >= tiny_gap] > 0.0)
 
 
 def test_contraction_sees_no_subnormal_weight(monkeypatch):
@@ -241,7 +254,7 @@ def test_contraction_sees_no_subnormal_weight(monkeypatch):
 
     monkeypatch.setattr(hpid.control, "_rows_matmul", spy)
     ys = np.random.default_rng(5).normal(size=(len(_FLUSH_GAPS), 2))
-    _weighted_state(_FLUSH_GAPS[None, :] + 3.0, ys)
+    _weighted_state([(_FLUSH_GAPS[None, :] + 3.0, ys)])
     (w,) = operands
     assert not np.any((w > 0.0) & (w < np.finfo(float).tiny))
     assert np.any(w == np.exp(-708.3))
@@ -257,11 +270,11 @@ def test_flush_changes_no_diagnostic_bit():
     log_w += np.array([[12.5], [-3.0]])
     ys = rng.normal(size=(n, 3))
     e_ref, xhat_ref, ess_ref, max_ref = _unflushed_weighted_state(log_w, ys)
-    e, _, _, _ = _exp_weights(log_w.copy())
+    e = _flushed_exp(log_w - log_w.max(axis=-1, keepdims=True))
     flushed = log_w - log_w.max(axis=-1, keepdims=True) < np.log(np.finfo(float).tiny)
     assert np.any(e_ref[flushed] > 0.0)  # the reference keeps subnormals
     assert np.array_equal(e, np.where(flushed, 0.0, e_ref))
-    xhat, ess, max_w = _weighted_state(log_w.copy(), ys)
+    xhat, ess, max_w = _weighted_state([(log_w.copy(), ys)])
     assert np.array_equal(xhat, xhat_ref)
     assert np.array_equal(ess, ess_ref)
     assert np.array_equal(max_w, max_ref)
@@ -271,7 +284,64 @@ def test_all_minus_inf_row_still_raises():
     dead_row = np.array([[0.0, -800.0], [-np.inf, -np.inf]])
     for log_w in (np.full((1, 6), -np.inf), dead_row):
         with pytest.raises(AccuracyError):
-            _exp_weights(log_w)
+            _weighted_state([(log_w, np.ones((log_w.shape[-1], 3)))])
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["row_set", "blocks"])
+@pytest.mark.parametrize("matrix", [False, True], ids=["scalar", "matrix"])
+def test_column_tiles_fold_to_the_one_tile_softmax(monkeypatch, shared, matrix):
+    # 36 rows in column tiles of 8 (the last one 4 wide): the online softmax
+    # agrees with the one-tile kernel, and a row's bits depend on its own x
+    rng = np.random.default_rng(41)
+    B, n = 130, 36
+    params = decompose([[0.9, 0.3], [0.3, 0.4]]) if matrix else ScalarBeta(0.6, 2)
+    x = rng.normal(size=(B, 2))
+    points = rng.normal(size=(n, 2) if shared else (B, n, 2))
+    fixed = 20.0 * rng.normal(size=(B, n))
+    fixed[0, -3] = 200.0  # the max lies in the last tile
+    fixed[1] = -1e4  # one-hot: every weight but the winner's is flushed
+    fixed[1, 19] = 0.0  # in the middle tile
+    fixed[2, 8:16] = -np.inf  # -inf over a whole tile
+    fixed[3, :24] = -np.inf  # no weight until the fourth tile
+
+    def state(rows, log_w=fixed):
+        ys = points if shared else points[rows]
+        return _weighted_state(_row_set_tiles(params, 0.4, x[rows], ys, log_w[rows]))
+
+    one_tile = state(slice(None))
+    monkeypatch.setattr(hpid.control, "_COL_TILE", 8)
+    tiled = state(slice(None))
+    for got, want in zip(tiled, one_tile):
+        assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    assert np.array_equal(tiled[0][1], points[19] if shared else points[1, 19])
+    assert tiled[2][1] == 1.0
+    singles = [state(slice(i, i + 1)) for i in range(B)]
+    for b in (1, 15, 17, 130):
+        split = state(slice(0, b))
+        for i in range(b):
+            for got, want in zip(split, singles[i]):
+                assert np.array_equal(got[i], want[0])
+    for bad in (-np.inf, np.nan):
+        dead = fixed.copy()
+        dead[129] = bad
+        with pytest.raises(AccuracyError):
+            state(slice(None), dead)
+
+
+def test_empirical_step_memory_is_bounded_by_the_column_tile():
+    # a step holds (B, _COL_TILE) log-weights, never (B, S): at S 200,000
+    # a (64, S) block alone would take 102 MB
+    rng = np.random.default_rng(43)
+    target = EmpiricalTarget(rng.normal(size=(200_000, 2)))
+    x = rng.normal(size=(64, 2))
+    tracemalloc.start()
+    try:
+        out = empirical_control(ScalarBeta(beta=0.5, dim=2), target, 0.5, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.drift.shape == (64, 2)
+    assert peak < 16 * 2**20
 
 
 def test_uhis_shared_panel_matches_owned_noise():
@@ -510,13 +580,53 @@ def test_quadrature_energy_is_evaluated_once_per_evaluator(dim):
     axes = np.meshgrid(*[np.linspace(-9.0, 9.0, n)] * dim, indexing="ij")
     nodes = np.stack([a.ravel() for a in axes], axis=1)
     assert np.array_equal(np.concatenate(energy.calls), nodes)
-    assert max(len(c) for c in energy.calls) <= hpid.control._ENERGY_BLOCK
+    assert max(len(c) for c in energy.calls) <= hpid.control._COL_TILE
     built = len(energy.calls)
     x = np.random.default_rng(32).uniform(-1.0, 1.0, size=(4, dim))
     for t in (0.2, 0.6):
         ev(t, x)
         ev(t, x[0])
     assert len(energy.calls) == built
+
+
+_HERMITE = {3: lambda z: z**3 - 3.0 * z, 4: lambda z: z**4 - 6.0 * z**2 + 3.0}
+
+
+@pytest.mark.parametrize(
+    "beta", [0.5, [[1.0, 0.4], [0.4, 0.3]]], ids=["scalar", "matrix"]
+)
+def test_quadrature_matches_the_closed_form_mixture_drift(beta, mixture_weighted_state):
+    # Simpson's rule errs by at most (h^4 / 72) int |d^4 f| per axis (its
+    # Peano kernel peaks at h^4 / 72), counted twice for the product rule's
+    # outer sum. For a unit-mass Gaussian of precision matrix L,
+    # int |d^4_k f| = c4 L_kk^2 and int |d^3_k f| = c3 L_kk^1.5, with
+    # c_n = E|He_n(Z)|; so each posterior component's mass errs by at most
+    # eps_d, and its y_k moment (|y_k| <= 12 on the grid) by eps_n[k]. Every
+    # component mean lies more than 8 sd inside the grid, so the truncation
+    # is not counted.
+    mixture = grid_mixture()
+    params = ScalarBeta(beta=beta, dim=2) if np.ndim(beta) == 0 else decompose(beta)
+    grid = QuadratureGrid()
+    ev = QuadratureControlEvaluator(params, mixture, grid)
+    x = np.random.default_rng(61).uniform(-3.0, 3.0, size=(12, 2))
+    step4 = ((grid.hi - grid.lo) / (grid.n - 1)) ** 4 / 72.0
+    c3, c4 = (
+        quad(lambda z: abs(_HERMITE[n](z)) * norm.pdf(z), -np.inf, np.inf)[0]
+        for n in (3, 4)
+    )
+    for t in (0.1, 0.5, 0.9):
+        h = np.diag(np.broadcast_to(_h_probe(params.eigvals, t), (2,)))
+        prec = np.eye(2) / mixture.sigma2 + params.from_eigenbasis(
+            params.from_eigenbasis(h).T
+        )
+        lkk = np.diag(prec)
+        eps_d = 2.0 * step4 * c4 * np.sum(lkk**2)
+        eps_n = 2.0 * step4 * (12.0 * c4 * np.sum(lkk**2) + 4.0 * c3 * lkk**1.5)
+        exact = mixture_weighted_state(mixture, params, t, x)
+        tol = (eps_n + np.abs(exact) * eps_d) / (1.0 - eps_d)
+        assert tol.max() < 1e-4
+        got = ev(t, x).weighted_state
+        assert np.all(np.abs(got - exact) <= tol), np.abs(got - exact).max()
 
 
 def test_function_evaluator_wraps_plain_drift():

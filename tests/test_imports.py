@@ -4,8 +4,8 @@ No linter ships with the project, so this walks the syntax tree of each
 source file and fails on a name that an import binds but no expression
 reads. The package's __init__.py is skipped: its imports are the public
 re-exports listed in __all__. It also fails on a module-level private
-function or class of src/hpid that no file of src/hpid reads, so that a
-helper is not kept alive by the tests alone.
+function, class or constant of src/hpid that no file of src/hpid reads, so
+that a helper or a setting is not kept alive by the tests alone.
 """
 
 import ast
@@ -52,27 +52,36 @@ def test_no_unused_imports():
     assert not unused, "imported but never used:\n" + "\n".join(unused)
 
 
+def _module_names(node):
+    """Names a module-level statement defines: a def or class, or the plain
+    names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def _unread_private_defs(trees):
-    """(module, line, name) of each module-level private def or class in
-    trees (module -> syntax tree) that no tree reads by name, by
-    attribute or by import."""
+    """(module, line, name) of each module-level private def, class or
+    constant in trees (module -> syntax tree) that no tree reads by name,
+    by attribute or by import."""
     read = set()
     for tree in trees.values():
         for n in ast.walk(tree):
-            if isinstance(n, ast.Name):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)
             elif isinstance(n, ast.Attribute):
                 read.add(n.attr)
             elif isinstance(n, ast.ImportFrom):
                 read.update(a.name for a in n.names)
     return [
-        (module, node.lineno, node.name)
+        (module, node.lineno, name)
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and node.name not in read
+        for name in _module_names(node)
+        if name.startswith("_") and not name.startswith("__") and name not in read
     ]
 
 
@@ -82,6 +91,14 @@ def test_scan_flags_an_unread_private_def():
         "b": ast.parse("from a import _used\nclass _Gone:\n    pass\n_used()\n"),
     }
     assert _unread_private_defs(trees) == [("a", 3, "_dead"), ("b", 2, "_Gone")]
+
+
+def test_scan_flags_an_unread_private_constant():
+    trees = {
+        "a": ast.parse("_USED = 1\n_DEAD = 2\n_TYPED: int = 3\n__all__ = []\n"),
+        "b": ast.parse("from a import _USED\n_LOCAL = _USED\nprint(_LOCAL)\n"),
+    }
+    assert _unread_private_defs(trees) == [("a", 2, "_DEAD"), ("a", 3, "_TYPED")]
 
 
 def test_no_unread_private_defs():

@@ -125,10 +125,13 @@ def _property_cfg(kind, n_samples, threads, energy="mixture", spread=1.0):
 
 
 def _run_in_chunks(cfg, chunk):
-    """run(cfg) with the working-set budget set to `chunk` trajectories."""
-    n_rows = 3  # the dataset size S of _dataset_cfg
-    per_trajectory = cfg.uhis.n_is * 2 if cfg.control_mode == "uhis" else n_rows
-    with mock.patch.object(sampler_mod, "_CHUNK_ELEMENTS", chunk * per_trajectory):
+    """run(cfg) with the working-set budget set to `chunk` trajectories; a
+    dataset's chunk counts single rows, not whole 16-row tiles."""
+    if cfg.control_mode == "uhis":
+        budget = {"_CHUNK_ELEMENTS": chunk * cfg.uhis.n_is * 2}
+    else:
+        budget = {"_CHUNK_ELEMENTS": chunk * sampler_mod._COL_TILE, "_ROW_TILE": 1}
+    with mock.patch.multiple(sampler_mod, **budget):
         evaluator = sampler_mod._validate_and_build(cfg)[2]
         assert sampler_mod._chunk_size(evaluator, 2) == chunk
         return run(cfg)
@@ -270,7 +273,8 @@ def _per_value_csv(times, states, weighted, ess):
 
 def test_trajectory_csvs_are_byte_identical_to_per_value_format(tmp_path, monkeypatch):
     # chunks of 2 trajectories put recorded row 2 in the second chunk
-    monkeypatch.setattr(sampler_mod, "_CHUNK_ELEMENTS", 6)  # S = 3 rows
+    monkeypatch.setattr(sampler_mod, "_CHUNK_ELEMENTS", 2 * sampler_mod._COL_TILE)
+    monkeypatch.setattr(sampler_mod, "_ROW_TILE", 1)
     cfg = _dataset_cfg(out_dir=str(tmp_path / "run"), n_record=3)
     run(cfg)
     params = ScalarBeta(beta=cfg.beta, dim=2)
@@ -370,8 +374,15 @@ def test_accuracy_failure_writes_manifest(tmp_path):
 
 
 def test_dataset_chunks_bound_the_working_set(monkeypatch):
-    # each step holds (B, S) kernel log-ratios, so a dataset of S rows
-    # runs in chunks of at most _CHUNK_ELEMENTS // S trajectories
+    # each step holds the (B, _COL_TILE) log-ratios of one column tile, so
+    # a dataset of any size runs in chunks of _CHUNK_ELEMENTS // _COL_TILE
+    # trajectories, in whole 16-row tiles
+    wide = EmpiricalTarget(np.zeros((9000, 2)))
+    chunks = {
+        sampler_mod._chunk_size(sampler_mod._validate_and_build(cfg)[2], 2)
+        for cfg in (_dataset_cfg(), _dataset_cfg(dataset=wide))
+    }
+    assert chunks == {sampler_mod._CHUNK_ELEMENTS // sampler_mod._COL_TILE // 16 * 16}
     whole = run(_dataset_cfg())
     sizes = []
     inner = sampler_mod.integrate_batch
@@ -381,9 +392,10 @@ def test_dataset_chunks_bound_the_working_set(monkeypatch):
         return inner(*a, **k)
 
     monkeypatch.setattr(sampler_mod, "integrate_batch", spy)
-    monkeypatch.setattr(sampler_mod, "_CHUNK_ELEMENTS", 30)  # S = 3 rows
+    monkeypatch.setattr(sampler_mod, "_CHUNK_ELEMENTS", 10 * sampler_mod._COL_TILE)
+    monkeypatch.setattr(sampler_mod, "_ROW_TILE", 3)  # 10 rows: three whole tiles
     split = run(_dataset_cfg())
-    assert sizes == [10, 10, 10, 2]
+    assert sizes == [9, 9, 9, 5]
     assert np.array_equal(split.terminals, whole.terminals)
     assert np.array_equal(split.ess_min, whole.ess_min)
 
