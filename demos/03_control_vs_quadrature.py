@@ -15,7 +15,11 @@ import math
 
 import numpy as np
 
-from hpid.control import UhisConfig, quadrature_control, uhis_control
+from hpid.control import (
+    QuadratureControlEvaluator,
+    UhisConfig,
+    UhisControlEvaluator,
+)
 from hpid.kernels import ScalarBeta
 from hpid.rng import normals_from
 from hpid.targets import DoubleWellEnergy
@@ -31,14 +35,15 @@ def bridge_scale(t):
 
 
 print("t      x       u(quadrature)  u(IS, N=1e5)   rel err")
-cfg = UhisConfig(n_is=100_000)
+oracle = QuadratureControlEvaluator(params, energy)
+uhis = UhisControlEvaluator(params, energy, UhisConfig(n_is=100_000))
 rng = np.random.default_rng(0)
 for t in (0.6, 0.75, 0.9):
     for xi in (-1.8, 1.8):
         x = np.array([bridge_scale(t) * xi])
-        u_q = float(quadrature_control(params, t, x, energy)[0])
-        xi_is = normals_from(rng, (cfg.n_is, 1))
-        u_is = float(uhis_control(params, cfg, t, x, energy, xi_is).drift[0])
+        u_q = float(oracle(t, x).drift[0])
+        xi_is = normals_from(rng, (uhis.cfg.n_is, 1))
+        u_is = float(uhis(t, x, xi_is).drift[0])
         print(
             f"{t:.2f}  {x[0]:6.3f}  {u_q:13.6f}  {u_is:13.6f}"
             f"   {abs(u_is - u_q) / abs(u_q):.2e}"
@@ -47,15 +52,15 @@ for t in (0.6, 0.75, 0.9):
 print("\nerror vs sample count at (t=0.8, xi=1.8), 40 repeats each:")
 t = 0.8
 x = np.array([bridge_scale(t) * 1.8])
-u_star = float(quadrature_control(params, t, x, energy)[0])
+u_star = float(oracle(t, x).drift[0])
 sizes = [100, 1000, 10_000]
 errs = []
 for i, n in enumerate(sizes):
     sq = 0.0
+    uhis = UhisControlEvaluator(params, energy, UhisConfig(n_is=n))
     for r in range(40):
-        c = UhisConfig(n_is=n)
         noise = normals_from(np.random.default_rng(100 * i + r), (n, 1))
-        u = float(uhis_control(params, c, t, x, energy, noise).drift[0])
+        u = float(uhis(t, x, noise).drift[0])
         sq += (u - u_star) ** 2
     errs.append(math.sqrt(sq / 40))
     print(f"  N = {n:>6}: rms error {errs[-1]:.4f}")

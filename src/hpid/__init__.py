@@ -19,9 +19,6 @@ from .control import (
     QuadratureGrid,
     UhisConfig,
     UhisControlEvaluator,
-    empirical_control,
-    quadrature_control,
-    uhis_control,
 )
 from .diagnostics import (
     AutocorrSeries,
@@ -113,7 +110,6 @@ __all__ = [
     "bootstrap_transition_gap",
     "decompose",
     "drift_prefactors",
-    "empirical_control",
     "estimate_z_convergence",
     "grid_mixture",
     "integrate_batch",
@@ -123,11 +119,9 @@ __all__ = [
     "log_kernel_ratio",
     "mixture_partition_oracle",
     "mode_assignment",
-    "quadrature_control",
     "run",
     "save_dataset",
     "transition_time",
     "transition_times_per",
-    "uhis_control",
     "universal_probe",
 ]

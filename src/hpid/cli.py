@@ -5,13 +5,15 @@ Subcommands:
   sample-empirical  sample toward rows of a dataset file
   estimate-z        repeat runs across step/sample sweeps, tabulate Z
   diagnose          overlap curves and mode coverage for a recorded run
-  oracle-check      importance-sampled control vs the quadrature oracle
+  oracle-check      UhisControlEvaluator vs QuadratureControlEvaluator,
+                    one evaluator each, on a 1-d double well
 
 Exit codes: 0 success; 2 bad configuration, schema, or input file;
 3 numerical failure (diverged trajectory, accuracy contract missed).
 
 Worker threads come from --threads, else the HPID_THREADS environment
-variable, else the machine's available parallelism. Thread count never
+variable, else the number of CPUs the process may run on (its affinity
+mask where the platform has one, else every CPU). Thread count never
 changes results; it only changes wall time. With more than one worker,
 run with OPENBLAS_NUM_THREADS=1: BLAS threads compete with the workers.
 """
@@ -33,7 +35,7 @@ from .config import (
     load_config_file,
     resolve,
 )
-from .control import QuadratureControlEvaluator, UhisConfig, uhis_control
+from .control import QuadratureControlEvaluator, UhisConfig, UhisControlEvaluator
 from .diagnostics import (
     autocorrelation,
     bootstrap_transition_gap,
@@ -67,6 +69,8 @@ def _threads(flag):
             v = int(raw)
         except ValueError:
             raise ConfigError(f"HPID_THREADS={raw!r} is not an integer") from None
+    elif hasattr(os, "sched_getaffinity"):
+        v = len(os.sched_getaffinity(0))  # the CPUs this process may run on
     else:
         v = os.cpu_count() or 1
     if v < 1:
@@ -301,7 +305,7 @@ def _cmd_oracle_check(args) -> int:
     xs = _list(args.x_list, "--x-list", float)
     if not ts or not xs:
         raise ConfigError("--t-list and --x-list must be nonempty")
-    cfg = UhisConfig(n_is=args.n_is)
+    uhis = UhisControlEvaluator(params, energy, UhisConfig(n_is=args.n_is))
     rng = np.random.default_rng(args.seed)
     rows = []
     worst_rel = 0.0
@@ -314,7 +318,7 @@ def _cmd_oracle_check(args) -> int:
         for x, u_q in zip(xs, u_qs.tolist()):
             xv = np.array([x])
             xi = normals_from(rng, (args.n_is, 1))
-            out = uhis_control(params, cfg, t, xv, energy, xi)
+            out = uhis(t, xv, xi)
             u_is = float(out.drift[0])
             min_ess = min(min_ess, float(out.ess))
             n_low += int(out.low_ess)

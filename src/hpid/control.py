@@ -1,24 +1,26 @@
 """Drift evaluators for the controlled bridge.
 
-Three interchangeable ways to estimate the optimal drift at (t, x):
+Three interchangeable ways to estimate the optimal drift at (t, x), one
+evaluator class each:
 
-* ``uhis_control`` — self-normalized importance sampling against the
-  energy-independent Gaussian probe. The N probe points, their weights
-  and the weighted state x̂ reduce the drift to u = c1 (x̂ - c2 x).
-* ``empirical_control`` — the target is a finite set of ground-truth
-  vectors; softmax over per-sample kernel log-ratios replaces IS.
-* ``quadrature_control`` — direct fixed-grid integration in 1 or 2
-  dimensions; slow, but the reference the other two are tested against.
+* ``UhisControlEvaluator`` — self-normalized importance sampling against
+  the energy-independent Gaussian probe. The N probe points, their
+  weights and the weighted state x̂ reduce the drift to u = c1 (x̂ - c2 x).
+* ``EmpiricalControlEvaluator`` — the target is a finite set of
+  ground-truth vectors; softmax over per-sample kernel log-ratios
+  replaces IS.
+* ``QuadratureControlEvaluator`` — direct fixed-grid integration in 1 or
+  2 dimensions; slow, but the reference the other two are tested against.
 
 The dataset rows, the wide step's normals and the quadrature nodes are
 fixed row sets: one online softmax folds their column tiles of at most
 kernels._COL_TILE rows, so a step holds B x _COL_TILE log-weights.
 
-Evaluator classes at the bottom adapt each to the integrator protocol:
-``noise_shape(dim)`` declares the standard normals a call needs (None for
-deterministic evaluators), which the caller always passes as xi, and
-``__call__(t, x, xi=None)`` returns a ControlOutput. All evaluators accept
-x with leading batch axes; all three estimators take scalar or matrix beta.
+Each follows the integrator protocol: ``noise_shape(dim)`` declares the
+standard normals a call needs (None for deterministic evaluators), which
+the caller always passes as xi, and ``__call__(t, x, xi=None)`` returns
+a ControlOutput. x may have leading batch axes, so build an evaluator
+once and ask it about a whole batch; all take scalar or matrix beta.
 """
 
 from dataclasses import dataclass, field
@@ -195,78 +197,6 @@ def _row_set_tiles(params: Potential, t, x, points, *fixed):
         yield log_w, tile
 
 
-def uhis_control(
-    params: Potential, cfg: UhisConfig, t: float, x, energy, xi
-) -> ControlOutput:
-    """Importance-sampled optimal drift at (t, x) for an energy target.
-
-    xi holds n_is standard normals per point: one (n_is, d) panel shared
-    by every point, or one block per point, shape x.shape[:-1] + (n_is, d).
-    Past t_min the universal probe maps them to its points and weights
-    them by exp(-E(y)) alone: the kernel ratio over the probe density is
-    constant in y, so it cancels in the self-normalized weights. At
-    t <= t_min, or where the universal probe degenerates, the normals
-    (in the eigenbasis) are themselves the points, a draw of the wide
-    N(0, I) that does not depend on x, weighted by the kernel ratio over
-    that density times exp(-E(y)); a shared panel is then one row set,
-    weighed once for every point. The drift recomposes from the weighted
-    state.
-    """
-    _validate_t(t, 0.0, 1.0, True, False)
-    x = _as_points(params, "x", x)
-    shared = (cfg.n_is, params.dim)
-    owned = x.shape[:-1] + shared
-    got = None if xi is None else np.shape(xi)
-    if got not in (shared, owned):
-        raise InputError(
-            f"xi must be one panel {shared} shared by every point or one block "
-            f"per point {owned}, got {got}"
-        )
-    xi = np.asarray(xi, dtype=float)
-    probe = None
-    if t > cfg.t_min:
-        try:
-            probe = universal_probe(params, t, x)
-        except DegenerateProbeGaussianError:
-            pass
-    panel_fn = getattr(energy, "panel_logw", None)
-    if probe is None:
-        # the normals are taken in the eigenbasis, as the universal probe
-        # takes them; N(0, I)'s normalizer is constant in y and cancels
-        ys = params.from_eigenbasis(xi)
-        fixed = 0.5 * _dot(ys, ys), -np.asarray(energy.value(ys), dtype=float)
-        xhat, ess, max_w = _weighted_state(_row_set_tiles(params, t, x, ys, *fixed))
-    elif x.ndim == 2 and xi.ndim == 2 and panel_fn is not None:
-        # a shared panel never materializes (B, N, d): y = mean + scale * row
-        scale, panel = probe.spread(xi)
-        log_w = np.asarray(panel_fn(probe.mean, scale, panel), dtype=float)
-        xbar, ess, max_w = _weighted_state([(log_w, panel)])
-        xhat = probe.mean + scale * xbar
-    else:
-        ys = probe.draw(xi)
-        log_w = -np.asarray(energy.value(ys), dtype=float)
-        xhat, ess, max_w = _weighted_state([(log_w, ys)])
-    return _drift_output(params, t, x, xhat, ess, max_w)
-
-
-def empirical_control(
-    params: Potential, target: EmpiricalTarget, t: float, x
-) -> ControlOutput:
-    """Optimal drift when the target is the empirical measure of samples.
-
-    Softmax over the kernel log-ratio at each stored sample; exact (no
-    Monte Carlo error) given the sample set.
-    """
-    _validate_t(t, 0.0, 1.0, True, False)
-    x = _as_points(params, "x", x)
-    if target.dim != params.dim:
-        raise InputError(
-            f"target dimension {target.dim} does not match params.dim {params.dim}"
-        )
-    xhat, ess, max_w = _weighted_state(_row_set_tiles(params, t, x, target.samples))
-    return _drift_output(params, t, x, xhat, ess, max_w)
-
-
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Fixed Simpson grid on [lo, hi]^d, n points per axis (n forced odd)."""
@@ -303,19 +233,8 @@ def _product_grid(grid: QuadratureGrid, d: int):
     return np.column_stack([nodes, edge]), log_s
 
 
-def quadrature_control(
-    params: Potential, t: float, x, energy, grid: QuadratureGrid | None = None
-) -> np.ndarray:
-    """Reference drift by direct integration over a bounded grid (d <= 2)."""
-    _validate_t(t, 0.0, 1.0, True, False)
-    x = _as_points(params, "x", x)
-    if x.ndim != 1:
-        raise InputError(f"x must be a single point, got shape {x.shape}")
-    return QuadratureControlEvaluator(params, energy, grid)(t, x).drift
-
-
 class UhisControlEvaluator:
-    """Integrator adapter around uhis_control (scalar or matrix potential)."""
+    """Importance-sampled drift for an energy target (scalar or matrix potential)."""
 
     def __init__(self, params: Potential, energy, cfg: UhisConfig):
         self.params = params
@@ -330,13 +249,70 @@ class UhisControlEvaluator:
         return (self.cfg.n_is, dim)
 
     def __call__(self, t, x, xi=None) -> ControlOutput:
-        return uhis_control(self.params, self.cfg, t, x, self.energy, xi=xi)
+        """Importance-sampled optimal drift at (t, x) for an energy target.
+
+        xi holds n_is standard normals per point: one (n_is, d) panel shared
+        by every point, or one block per point, shape x.shape[:-1] + (n_is, d).
+        Past t_min the universal probe maps them to its points and weights
+        them by exp(-E(y)) alone: the kernel ratio over the probe density is
+        constant in y, so it cancels in the self-normalized weights. At
+        t <= t_min, or where the universal probe degenerates, the normals
+        (in the eigenbasis) are themselves the points, a draw of the wide
+        N(0, I) that does not depend on x, weighted by the kernel ratio over
+        that density times exp(-E(y)); a shared panel is then one row set,
+        weighed once for every point. The drift recomposes from the weighted
+        state.
+        """
+        params, cfg, energy = self.params, self.cfg, self.energy
+        _validate_t(t, 0.0, 1.0, True, False)
+        x = _as_points(params, "x", x)
+        shared = (cfg.n_is, params.dim)
+        owned = x.shape[:-1] + shared
+        got = None if xi is None else np.shape(xi)
+        if got not in (shared, owned):
+            raise InputError(
+                f"xi must be one panel {shared} shared by every point or one block "
+                f"per point {owned}, got {got}"
+            )
+        xi = np.asarray(xi, dtype=float)
+        probe = None
+        if t > cfg.t_min:
+            try:
+                probe = universal_probe(params, t, x)
+            except DegenerateProbeGaussianError:
+                pass
+        panel_fn = getattr(energy, "panel_logw", None)
+        if probe is None:
+            # the normals are taken in the eigenbasis, as the universal probe
+            # takes them; N(0, I)'s normalizer is constant in y and cancels
+            ys = params.from_eigenbasis(xi)
+            fixed = 0.5 * _dot(ys, ys), -np.asarray(energy.value(ys), dtype=float)
+            xhat, ess, max_w = _weighted_state(_row_set_tiles(params, t, x, ys, *fixed))
+        elif x.ndim == 2 and xi.ndim == 2 and panel_fn is not None:
+            # a shared panel never materializes (B, N, d): y = mean + scale * row
+            scale, panel = probe.spread(xi)
+            log_w = np.asarray(panel_fn(probe.mean, scale, panel), dtype=float)
+            xbar, ess, max_w = _weighted_state([(log_w, panel)])
+            xhat = probe.mean + scale * xbar
+        else:
+            ys = probe.draw(xi)
+            log_w = -np.asarray(energy.value(ys), dtype=float)
+            xhat, ess, max_w = _weighted_state([(log_w, ys)])
+        return _drift_output(params, t, x, xhat, ess, max_w)
 
 
 class EmpiricalControlEvaluator:
-    """Integrator adapter around empirical_control; deterministic."""
+    """Optimal drift when the target is the empirical measure of samples.
+
+    Softmax over the kernel log-ratio at each stored sample; exact (no
+    Monte Carlo error) given the sample set, and deterministic.
+    """
 
     def __init__(self, params: Potential, target: EmpiricalTarget):
+        if target.dim != params.dim:
+            raise InputError(
+                f"target dimension {target.dim} does not match params.dim {params.dim}"
+            )
         self.params = params
         self.target = target
 
@@ -344,7 +320,11 @@ class EmpiricalControlEvaluator:
         return None
 
     def __call__(self, t, x, xi=None) -> ControlOutput:
-        return empirical_control(self.params, self.target, t, x)
+        _validate_t(t, 0.0, 1.0, True, False)
+        x = _as_points(self.params, "x", x)
+        tiles = _row_set_tiles(self.params, t, x, self.target.samples)
+        xhat, ess, max_w = _weighted_state(tiles)
+        return _drift_output(self.params, t, x, xhat, ess, max_w)
 
 
 class QuadratureControlEvaluator:

@@ -197,8 +197,13 @@ def write_transition_json(
     }
     if bootstrap is not None:
         doc["bootstrap_gap"] = bootstrap
-    for k, v in list(doc.items()):
-        if isinstance(v, float) and math.isnan(v):
-            doc[k] = None  # JSON has no nan; null marks "not reached"
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(doc), f, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _finite_or_null(v):
+    """v with every non-finite float, at any depth, as None: JSON has no
+    nan, and null marks a crossing that was never reached."""
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    return None if isinstance(v, float) and not math.isfinite(v) else v

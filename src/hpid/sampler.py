@@ -354,24 +354,17 @@ def estimate_z_convergence(
     setting_index = 0
     for sweep, values in (("steps", steps_list), ("samples", samples_list)):
         for value in values:
+            steps, samples = (
+                (int(value), cfg.n_samples)
+                if sweep == "steps"
+                else (cfg.sde.n_steps, int(value))
+            )
             for rep in range(n_repeats):
                 seed = cfg.sde.seed + 1_000_003 * setting_index + rep
-                if sweep == "steps":
-                    sde_cfg = dataclasses.replace(
-                        cfg.sde, n_steps=int(value), seed=seed
-                    )
-                    sub = dataclasses.replace(
-                        cfg, sde=sde_cfg, out_dir=None, n_record=0
-                    )
-                else:
-                    sde_cfg = dataclasses.replace(cfg.sde, seed=seed)
-                    sub = dataclasses.replace(
-                        cfg,
-                        sde=sde_cfg,
-                        n_samples=int(value),
-                        out_dir=None,
-                        n_record=0,
-                    )
+                sde_cfg = dataclasses.replace(cfg.sde, n_steps=steps, seed=seed)
+                sub = dataclasses.replace(
+                    cfg, sde=sde_cfg, n_samples=samples, out_dir=None, n_record=0
+                )
                 out = run(sub)
                 rows.append(
                     {

@@ -19,10 +19,9 @@ from hpid.control import (
     EmpiricalControlEvaluator,
     EmpiricalTarget,
     FunctionControlEvaluator,
+    QuadratureControlEvaluator,
     UhisConfig,
-    empirical_control,
-    quadrature_control,
-    uhis_control,
+    UhisControlEvaluator,
 )
 from hpid.diagnostics import autocorrelation, bootstrap_transition_gap, mode_assignment
 from hpid.kernels import (
@@ -63,15 +62,15 @@ def test_importance_control_matches_quadrature_oracle():
     worst = 0.0
     for k, beta in enumerate((0.0, 0.5, 2.0)):
         params = ScalarBeta(beta, 1)
-        cfg = UhisConfig(n_is=10**5)
+        quadrature = QuadratureControlEvaluator(params, energy)
+        uhis = UhisControlEvaluator(params, energy, UhisConfig(n_is=10**5))
         rng = np.random.default_rng(47 + k)
         xis = (-2.2, -2.0, 2.0, 2.2) if beta == 2.0 else (-2.0, -1.8, 1.8, 2.0)
         for t in (0.70, 0.75, 0.80, 0.85, 0.90):
-            for xi in xis:
-                x = np.array([_scale(beta, t) * xi])
-                u_q = float(quadrature_control(params, t, x, energy)[0])
+            xs = _scale(beta, t) * np.array(xis)[:, None]
+            for x, u_q in zip(xs, quadrature(t, xs).drift[:, 0].tolist()):
                 xi_is = normals_from(rng, (10**5, 1))
-                u_is = float(uhis_control(params, cfg, t, x, energy, xi_is).drift[0])
+                u_is = float(uhis(t, x, xi_is).drift[0])
                 if abs(u_q) >= 0.05:
                     worst = max(worst, abs(u_is - u_q) / (0.02 * abs(u_q)))
                 else:
@@ -96,13 +95,12 @@ def test_gaussian_target_terminal_moments():
         return (s2 - 1.0) / (1.0 + t * (s2 - 1.0)) * x
 
     # certify the closed form against the quadrature oracle first
-    oracle = GaussianEnergy(dim=1, sigma2=s2)
     zp = ScalarBeta(0.0, 1)
+    oracle = QuadratureControlEvaluator(zp, GaussianEnergy(dim=1, sigma2=s2))
+    xs = np.array([[-1.2], [0.4], [1.7]])
     mismatch = 0.0
     for t in (0.05, 0.3, 0.55, 0.8, 0.95):
-        for x in (-1.2, 0.4, 1.7):
-            u_q = float(quadrature_control(zp, t, np.array([x]), oracle)[0])
-            mismatch = max(mismatch, abs(u_exact(t, x) - u_q))
+        mismatch = max(mismatch, np.abs(u_exact(t, xs) - oracle(t, xs).drift).max())
     assert mismatch < 1e-8
 
     batch = integrate_batch(
@@ -264,6 +262,10 @@ def test_zero_confinement_limit_continuity():
     energy = DoubleWellEnergy(1, stiffness=1.0)
     target = EmpiricalTarget(rng.normal(size=(6, 1)))
     xi = rng.normal(size=(64, 1))
+    uhis_small = UhisControlEvaluator(small, energy, UhisConfig(n_is=64))
+    uhis_zero = UhisControlEvaluator(zero, energy, UhisConfig(n_is=64))
+    empirical_small = EmpiricalControlEvaluator(small, target)
+    empirical_zero = EmpiricalControlEvaluator(zero, target)
     worst = 0.0
 
     def close(a, b):
@@ -281,11 +283,8 @@ def test_zero_confinement_limit_continuity():
         close(drift_prefactors(small, t), drift_prefactors(zero, t))
         pa, pb = universal_probe(small, t, x), universal_probe(zero, t, x)
         close((pa.mean[0], pa.precision), (pb.mean[0], pb.precision))
-        ua = uhis_control(small, UhisConfig(n_is=64), t, x, energy, xi=xi)
-        ub = uhis_control(zero, UhisConfig(n_is=64), t, x, energy, xi=xi)
-        close(ua.drift, ub.drift)
-        close(empirical_control(small, target, t, x).drift,
-              empirical_control(zero, target, t, x).drift)
+        close(uhis_small(t, x, xi=xi).drift, uhis_zero(t, x, xi=xi).drift)
+        close(empirical_small(t, x).drift, empirical_zero(t, x).drift)
     _report(
         worst < 1e-6,
         "vanishing confinement joins the free-motion path smoothly",
@@ -399,15 +398,15 @@ def test_importance_error_scales_inverse_root_n():
     energy = DoubleWellEnergy(1, stiffness=1.0)
     t = 0.8
     x = np.array([_scale(0.5, t) * 1.8])
-    u_star = float(quadrature_control(params, t, x, energy)[0])
+    u_star = float(QuadratureControlEvaluator(params, energy)(t, x).drift[0])
     sizes = [100, 1000, 10_000, 100_000]
     errs = []
     for i, n in enumerate(sizes):
         sq = 0.0
+        uhis = UhisControlEvaluator(params, energy, UhisConfig(n_is=n))
         for r in range(60):
-            cfg = UhisConfig(n_is=n)
             xi = normals_from(np.random.default_rng(8000 + 1000 * i + r), (n, 1))
-            u = float(uhis_control(params, cfg, t, x, energy, xi).drift[0])
+            u = float(uhis(t, x, xi).drift[0])
             sq += (u - u_star) ** 2
         errs.append(math.sqrt(sq / 60))
     slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]

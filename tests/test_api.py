@@ -39,7 +39,6 @@ PUBLIC = [
     "bootstrap_transition_gap",
     "decompose",
     "drift_prefactors",
-    "empirical_control",
     "estimate_z_convergence",
     "grid_mixture",
     "integrate_batch",
@@ -49,18 +48,16 @@ PUBLIC = [
     "log_kernel_ratio",
     "mixture_partition_oracle",
     "mode_assignment",
-    "quadrature_control",
     "run",
     "save_dataset",
     "transition_time",
     "transition_times_per",
-    "uhis_control",
     "universal_probe",
 ]
 
 
 def test_public_api_is_pinned():
-    assert len(hpid.__all__) == 50
+    assert len(hpid.__all__) == 47
     assert hpid.__all__ == PUBLIC
     missing = [name for name in PUBLIC if not hasattr(hpid, name)]
     assert missing == []

@@ -1,10 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hpid.cli import main
+from hpid.cli import _threads, main
 from hpid.targets import load_dataset, save_dataset
 
 GAUSS_INI = """\
@@ -205,6 +206,16 @@ def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     assert "HPID_THREADS" in capsys.readouterr().err
     monkeypatch.setenv("HPID_THREADS", "2")
     assert main(["sample-energy", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_default_threads_follow_the_affinity_mask(monkeypatch):
+    # the host may have many CPUs while this process may run on one
+    monkeypatch.delenv("HPID_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert _threads(None) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _threads(None) == 64
 
 
 def test_sample_empirical_and_diagnose(tmp_path, capsys):

@@ -28,9 +28,6 @@ from hpid.control import (
     _flushed_exp,
     _row_set_tiles,
     _weighted_state,
-    empirical_control,
-    quadrature_control,
-    uhis_control,
 )
 from hpid.errors import AccuracyError, InputError
 from hpid.kernels import (
@@ -71,7 +68,7 @@ def test_uhis_config_validation():
 def test_empirical_frozen_values():
     params = ScalarBeta(beta=1.2, dim=1)
     target = EmpiricalTarget(np.array([[-2.0], [0.5], [3.0]]))
-    out = empirical_control(params, target, 0.35, np.array([0.4]))
+    out = EmpiricalControlEvaluator(params, target)(0.35, np.array([0.4]))
     assert_allclose(out.weighted_state, [1.274902353330308588001], rtol=1e-14)
     assert_allclose(out.drift, [1.088925129217675723732], rtol=1e-13)
 
@@ -88,7 +85,7 @@ def test_empirical_diagnostics_and_hull(seed, t, beta):
     params = ScalarBeta(beta=beta, dim=3)
     target = EmpiricalTarget(samples)
     x = rng.normal(size=3)
-    out = empirical_control(params, target, t, x)
+    out = EmpiricalControlEvaluator(params, target)(t, x)
     # weighted state stays in the componentwise convex hull of the samples
     assert np.all(out.weighted_state >= samples.min(axis=0) - 1e-12)
     assert np.all(out.weighted_state <= samples.max(axis=0) + 1e-12)
@@ -102,17 +99,17 @@ def test_empirical_diagnostics_and_hull(seed, t, beta):
 
 def test_uhis_weighted_state_in_sample_hull():
     params = ScalarBeta(beta=0.5, dim=2)
-    cfg = UhisConfig(n_is=128)
+    uhis = UhisControlEvaluator(params, _mixture2(), UhisConfig(n_is=128))
     x = np.array([0.3, -0.9])
     xi = normals_from(np.random.default_rng(11), (128, 2))
-    out = uhis_control(params, cfg, 0.4, x, _mixture2(), xi=xi)
+    out = uhis(0.4, x, xi=xi)
     ys = universal_probe(params, 0.4, x).draw(xi)
     assert np.all(out.weighted_state >= ys.min(axis=0) - 1e-12)
     assert np.all(out.weighted_state <= ys.max(axis=0) + 1e-12)
     assert 1.0 <= out.ess <= 128.0 * (1.0 + 1e-12)
     assert 1.0 / 128.0 <= out.max_weight <= 1.0
     c1, c2 = drift_prefactors(params, 0.5)
-    out2 = uhis_control(params, cfg, 0.5, x, _mixture2(), xi=xi)
+    out2 = uhis(0.5, x, xi=xi)
     assert np.array_equal(out2.drift, c1 * (out2.weighted_state - c2 * x))
 
 
@@ -125,8 +122,8 @@ def test_uhis_additive_energy_invariance(offset_energy):
     xi = normals_from(np.random.default_rng(5), (3, 64, 2))
     x = np.random.default_rng(6).normal(size=(3, 2))
     base = _mixture2()
-    a = uhis_control(params, cfg, 0.4, x, base, xi=xi)
-    b = uhis_control(params, cfg, 0.4, x, offset_energy(base, 7.0), xi=xi)
+    a = UhisControlEvaluator(params, base, cfg)(0.4, x, xi=xi)
+    b = UhisControlEvaluator(params, offset_energy(base, 7.0), cfg)(0.4, x, xi=xi)
     assert_allclose(b.drift, a.drift, rtol=1e-13, atol=1e-15)
     assert_allclose(b.weighted_state, a.weighted_state, rtol=1e-13, atol=1e-15)
     assert_allclose(b.ess, a.ess, rtol=1e-12)
@@ -135,16 +132,14 @@ def test_uhis_additive_energy_invariance(offset_energy):
 
 def test_uhis_xi_shape_validated():
     params = ScalarBeta(beta=0.5, dim=2)
-    cfg = UhisConfig(n_is=16)
+    uhis = UhisControlEvaluator(params, _mixture2(), UhisConfig(n_is=16))
     with pytest.raises(InputError):
-        uhis_control(
-            params, cfg, 0.3, np.zeros(2), _mixture2(), xi=np.zeros((8, 2))
-        )
+        uhis(0.3, np.zeros(2), xi=np.zeros((8, 2)))
     # the noise always comes from the caller; the message names both layouts
     x = np.zeros((3, 2))
     for xi in (None, np.zeros((1, 16, 2)), np.zeros((3, 16, 1))):
         with pytest.raises(InputError, match=r"\(16, 2\).*\(3, 16, 2\)"):
-            uhis_control(params, cfg, 0.3, x, _mixture2(), xi)
+            uhis(0.3, x, xi)
 
 
 def test_uhis_all_weights_vanish():
@@ -154,10 +149,10 @@ def test_uhis_all_weights_vanish():
             return np.full(y.shape[:-1], np.inf)
 
     params = ScalarBeta(beta=0.5, dim=1)
-    cfg = UhisConfig(n_is=8)
+    uhis = UhisControlEvaluator(params, InfiniteEnergy(dim=1), UhisConfig(n_is=8))
     xi = normals_from(np.random.default_rng(0), (8, 1))
     with pytest.raises(AccuracyError):
-        uhis_control(params, cfg, 0.5, np.zeros(1), InfiniteEnergy(dim=1), xi)
+        uhis(0.5, np.zeros(1), xi)
 
 
 class _PanelCounter:
@@ -336,7 +331,7 @@ def test_empirical_step_memory_is_bounded_by_the_column_tile():
     x = rng.normal(size=(64, 2))
     tracemalloc.start()
     try:
-        out = empirical_control(ScalarBeta(beta=0.5, dim=2), target, 0.5, x)
+        out = EmpiricalControlEvaluator(ScalarBeta(beta=0.5, dim=2), target)(0.5, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -361,10 +356,10 @@ def test_uhis_shared_panel_matches_owned_noise():
     for inner in (GaussianEnergy(dim=2, sigma2=0.5), _mixture2()):
         energy = _PanelCounter(inner)
         for params in potentials:
-            cfg = UhisConfig(n_is=256)
+            uhis = UhisControlEvaluator(params, energy, UhisConfig(n_is=256))
             for t in (0.05, 0.5, 0.9):
-                a = uhis_control(params, cfg, t, x, energy, xi=block)
-                b = uhis_control(params, cfg, t, x, energy, xi=owned)
+                a = uhis(t, x, xi=block)
+                b = uhis(t, x, xi=owned)
                 assert_allclose(a.drift, b.drift, rtol=5e-9, atol=1e-12)
                 assert_allclose(a.weighted_state, b.weighted_state, rtol=5e-9, atol=1e-12)
                 assert_allclose(a.ess, b.ess, rtol=5e-9)
@@ -389,13 +384,15 @@ def test_one_log_weight_call_per_control_call(monkeypatch):
     x = np.random.default_rng(8).normal(size=(B, 2))
     block = normals_from(np.random.default_rng(9), (64, 2))
     energy = _PanelCounter(_mixture2())
-    shared = uhis_control(params, UhisConfig(n_is=64), 0.5, x, energy, xi=block)
+    uhis = UhisControlEvaluator(params, energy, UhisConfig(n_is=64))
+    shared = uhis(0.5, x, xi=block)
     assert energy.panel_calls == 1 and energy.value_points == 0
     assert ratio_calls == []
-    wide = uhis_control(params, UhisConfig(n_is=64, t_min=0.6), 0.5, x, energy, block)
+    wide_cfg = UhisConfig(n_is=64, t_min=0.6)
+    wide = UhisControlEvaluator(params, energy, wide_cfg)(0.5, x, block)
     assert energy.panel_calls == 1 and ratio_calls == [0.5]
     target = EmpiricalTarget(np.random.default_rng(10).normal(size=(40, 2)))
-    empirical = empirical_control(params, target, 0.5, x)
+    empirical = EmpiricalControlEvaluator(params, target)(0.5, x)
     assert ratio_calls == [0.5, 0.5]
     for out in (shared, wide, empirical):
         assert out.weighted_state.shape == (B, 2) and out.ess.shape == (B,)
@@ -410,11 +407,12 @@ def test_uhis_wide_fallback_below_t_min():
     owned = np.array(np.broadcast_to(block, (4, 64, 2)))
     x = np.random.default_rng(4).normal(size=(4, 2))
     energy = _PanelCounter(_mixture2())
-    a = uhis_control(params, cfg, 0.1, x, energy, xi=block)
+    uhis = UhisControlEvaluator(params, energy, cfg)
+    a = uhis(0.1, x, xi=block)
     # a shared panel is one row set: the energy sees each point once,
     # not once per trajectory
     assert energy.value_points == 64
-    b = uhis_control(params, cfg, 0.1, x, energy, xi=owned)
+    b = uhis(0.1, x, xi=owned)
     assert energy.value_points == 64 + 4 * 64
     assert_allclose(a.drift, b.drift, rtol=1e-12)
     assert np.isfinite(a.drift).all()
@@ -468,27 +466,27 @@ def test_probe_choice_does_not_move_the_limit():
     est = {}
     for label, t_min in (("universal", 0.0), ("wide", 1.0)):
         vals = np.empty(reps)
+        uhis = UhisControlEvaluator(params, energy, UhisConfig(n_is=n, t_min=t_min))
         for r in range(reps):
-            cfg = UhisConfig(n_is=n, t_min=t_min)
             xi = normals_from(np.random.default_rng(1000 + r), (n, 1))
-            vals[r] = uhis_control(params, cfg, t, x, energy, xi).drift[0]
+            vals[r] = uhis(t, x, xi).drift[0]
         est[label] = (vals.mean(), vals.std(ddof=1) / np.sqrt(reps))
     gap = abs(est["universal"][0] - est["wide"][0])
     bar = 3.0 * np.hypot(est["universal"][1], est["wide"][1])
     assert gap < bar
     # both agree with the deterministic quadrature reference
-    ref = quadrature_control(params, t, x, energy)[0]
+    ref = QuadratureControlEvaluator(params, energy)(t, x).drift[0]
     assert abs(est["universal"][0] - ref) < 4.0 * est["universal"][1]
 
 
 def test_quadrature_frozen_gaussian_values():
-    u = quadrature_control(
-        ScalarBeta(beta=0.8, dim=1), 0.45, np.array([0.7]), GaussianEnergy(dim=1, sigma2=0.6)
-    )
+    u = QuadratureControlEvaluator(
+        ScalarBeta(beta=0.8, dim=1), GaussianEnergy(dim=1, sigma2=0.6)
+    )(0.45, np.array([0.7])).drift
     assert_allclose(u, [-0.4746575105970458252816], rtol=1e-9)
-    u = quadrature_control(
-        ScalarBeta(beta=0.0, dim=1), 0.3, np.array([1.2]), GaussianEnergy(dim=1, sigma2=0.5)
-    )
+    u = QuadratureControlEvaluator(
+        ScalarBeta(beta=0.0, dim=1), GaussianEnergy(dim=1, sigma2=0.5)
+    )(0.3, np.array([1.2])).drift
     assert_allclose(u, [-0.7058823529411764705882], rtol=1e-9)
 
 
@@ -501,30 +499,23 @@ def test_quadrature_two_dimensional_matches_product_structure():
     energy1 = GaussianEnergy(dim=1, sigma2=0.7)
     x = np.array([0.9, -0.4])
     grid = QuadratureGrid(lo=-10.0, hi=10.0, n=201)
-    u2 = quadrature_control(params2, 0.35, x, energy2, grid=grid)
+    u2 = QuadratureControlEvaluator(params2, energy2, grid)(0.35, x).drift
+    u1 = QuadratureControlEvaluator(params1, energy1, grid)(0.35, x[:, None]).drift
     for i in range(2):
-        u1 = quadrature_control(params1, 0.35, x[i : i + 1], energy1, grid=grid)
-        assert_allclose(u2[i], u1[0], rtol=1e-8)
+        assert_allclose(u2[i], u1[i, 0], rtol=1e-8)
 
 
 def test_quadrature_grid_validation_and_boundary_guard():
     assert QuadratureGrid(n=1600).n == 1601  # forced odd
     with pytest.raises(AccuracyError):
         # the target mass sits well outside this box
-        quadrature_control(
+        QuadratureControlEvaluator(
             ScalarBeta(beta=0.0, dim=1),
-            0.5,
-            np.array([0.0]),
             GaussianEnergy(dim=1, sigma2=1.0, mean=30.0),
-            grid=QuadratureGrid(lo=-2.0, hi=2.0, n=201),
-        )
+            QuadratureGrid(lo=-2.0, hi=2.0, n=201),
+        )(0.5, np.array([0.0]))
     with pytest.raises(InputError):
-        quadrature_control(
-            ScalarBeta(beta=0.0, dim=3),
-            0.5,
-            np.zeros(3),
-            GaussianEnergy(dim=3),
-        )
+        QuadratureControlEvaluator(ScalarBeta(beta=0.0, dim=3), GaussianEnergy(dim=3))
 
 
 def test_control_output_low_ess_flag():
@@ -535,8 +526,8 @@ def test_control_output_low_ess_flag():
 
 
 def test_quadrature_evaluator_batches_rows():
-    # quadrature_control is the evaluator on one point, so a batched row
-    # equals its single-point drift bitwise, for any leading axes
+    # a batched row equals the same evaluator's single-point drift
+    # bitwise, for any leading axes
     x2 = np.random.default_rng(31).uniform(-2.0, 2.0, size=(2, 3, 2))
     cases = (
         (ScalarBeta(beta=0.4, dim=1), DoubleWellEnergy(dim=1), None,
@@ -545,11 +536,12 @@ def test_quadrature_evaluator_batches_rows():
          QuadratureGrid(lo=-10.0, hi=10.0, n=101), x2),
     )
     for params, energy, grid, x in cases:
-        out = QuadratureControlEvaluator(params, energy, grid)(0.6, x)
+        quadrature = QuadratureControlEvaluator(params, energy, grid)
+        out = quadrature(0.6, x)
         assert out.drift.shape == x.shape
         assert out.ess.shape == out.max_weight.shape == x.shape[:-1]
         for i in np.ndindex(x.shape[:-1]):
-            single = quadrature_control(params, 0.6, x[i], energy, grid)
+            single = quadrature(0.6, x[i]).drift
             assert np.array_equal(out.drift[i], single)
 
 
@@ -656,6 +648,6 @@ def test_empirical_target_validation():
     flat = EmpiricalTarget(np.array([1.0, 2.0, 3.0]))
     assert flat.samples.shape == (3, 1)
     with pytest.raises(InputError):
-        empirical_control(
-            ScalarBeta(beta=0.0, dim=3), EmpiricalTarget(np.zeros((2, 2))), 0.3, np.zeros(3)
+        EmpiricalControlEvaluator(
+            ScalarBeta(beta=0.0, dim=3), EmpiricalTarget(np.zeros((2, 2)))
         )

@@ -213,3 +213,24 @@ def test_csv_and_json_writers(tmp_path):
     assert doc["transition_weighted"] is None
     assert doc["transition_state"] is None
     assert "bootstrap_gap" not in doc
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_transition_json_is_strict_when_a_curve_never_crosses(tmp_path):
+    # the state overlap stays at 0.1, so the bootstrap gap is NaN at every
+    # level; a strict parser must still read the file
+    flat = _traj([0.1] * 5, CURVE_B[1])
+    s = autocorrelation(*_arrays(TIMES, flat, flat, flat))
+    boot = bootstrap_transition_gap(s, n_resamples=16, seed=0)
+    assert np.isnan(boot["gap"]) and np.isnan(boot["p5"])
+    tj = tmp_path / "transition.json"
+    write_transition_json(str(tj), s, threshold=0.5, bootstrap=boot)
+    doc = json.loads(tj.read_text(), parse_constant=_reject_constant)
+    assert doc["transition_state"] is None
+    assert doc["transition_weighted"] == transition_time(s)
+    gap = doc["bootstrap_gap"]
+    assert [gap[k] for k in ("gap", "p5", "p50", "p95")] == [None] * 4
+    assert gap["n_resamples"] == 16

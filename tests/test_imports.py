@@ -1,14 +1,20 @@
-"""Every imported name is used, and every private helper of the package.
+"""Every imported name is used and exists, and every private helper of the
+package is read.
 
 No linter ships with the project, so this walks the syntax tree of each
 source file and fails on a name that an import binds but no expression
 reads. The package's __init__.py is skipped: its imports are the public
-re-exports listed in __all__. It also fails on a module-level private
-function, class or constant of src/hpid that no file of src/hpid reads, so
-that a helper or a setting is not kept alive by the tests alone.
+re-exports listed in __all__. It fails, too, on a name that a demo, tool
+or test takes from hpid, by import or by an attribute chain such as
+hpid.control.name, that the package does not have: tests/test_demos.py
+does not run every demo, so a removed public name could otherwise break
+one unseen. And it fails on a module-level private function, class or
+constant of src/hpid that no file of src/hpid reads, so that a helper or
+a setting is not kept alive by the tests alone.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +56,68 @@ def test_no_unused_imports():
         for line, name in _unused_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def _package_references(tree):
+    """(line, dotted path) of each name tree takes from hpid: a
+    ``from hpid... import name`` or an attribute chain rooted at hpid."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "hpid" or node.module.startswith("hpid."):
+                refs += [(node.lineno, f"{node.module}.{a.name}") for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            parts = [node.attr]
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                parts.append(root.attr)
+                root = root.value
+            if isinstance(root, ast.Name) and root.id == "hpid":
+                refs.append((node.lineno, ".".join(["hpid", *reversed(parts)])))
+    return refs
+
+
+def _resolves(dotted):
+    """Whether dotted names an attribute or submodule that can be reached."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            return False
+    return True
+
+
+def test_scan_flags_a_missing_package_name():
+    tree = ast.parse(
+        "import hpid.control\n"
+        "from hpid.control import UhisConfig, uhis_control\n"
+        "from hpid import run, no_such_name\n"
+        "hpid.control.log_kernel_ratio(hpid.control.quadrature_control)\n"
+    )
+    refs = _package_references(tree)
+    assert (4, "hpid.control.log_kernel_ratio") in refs
+    missing = [(line, ref) for line, ref in refs if not _resolves(ref)]
+    assert missing == [
+        (2, "hpid.control.uhis_control"),
+        (3, "hpid.no_such_name"),
+        (4, "hpid.control.quadrature_control"),
+    ]
+
+
+def test_names_taken_from_the_package_exist():
+    missing = [
+        f"{path.relative_to(ROOT)}:{line}: {ref}"
+        for path in _sources()
+        if not path.relative_to(ROOT).as_posix().startswith("src/")
+        for line, ref in _package_references(ast.parse(path.read_text(), str(path)))
+        if not _resolves(ref)
+    ]
+    assert not missing, "taken from hpid but not defined there:\n" + "\n".join(missing)
 
 
 def _module_names(node):
