@@ -10,6 +10,9 @@ Subcommands:
 
 Exit codes: 0 success; 2 bad configuration, schema, or input file;
 3 numerical failure (diverged trajectory, accuracy contract missed).
+A sampling run's summary.json, complete or aborted, echoes its resolved
+manifest (subcommand, cli_config, cli_config_sha256); passed back to
+sample-energy --config, it reruns the run.
 
 Worker threads come from --threads, else the HPID_THREADS environment
 variable, else the number of CPUs the process may run on (its affinity
@@ -23,13 +26,13 @@ import dataclasses
 import json
 import math
 import os
-import re
 import sys
 
 import numpy as np
 
 from . import __version__
 from .config import (
+    _ECHO,
     _ENERGY_CONTROLS,
     build_run_config,
     load_config_file,
@@ -56,8 +59,17 @@ from .errors import (
 )
 from .kernels import ScalarBeta
 from .rng import normals_from
-from .sampler import config_sha, estimate_z_convergence, run
-from .targets import DoubleWellEnergy, GaussianMixtureEnergy, load_dataset
+from .sampler import _ABORTING, config_sha, estimate_z_convergence, run
+from .targets import (
+    _TRAJECTORY_FILE,
+    _TRAJECTORY_INDEX,
+    DoubleWellEnergy,
+    GaussianMixtureEnergy,
+    _read_trajectory,
+    _write_csv,
+    _write_json,
+    load_dataset,
+)
 
 
 def _threads(flag):
@@ -98,11 +110,8 @@ def _inject_echo(out_dir: str, subcommand: str, resolved: dict) -> None:
     path = os.path.join(out_dir, "summary.json")
     with open(path) as f:
         doc = json.load(f)
-    doc["subcommand"] = subcommand
-    doc["cli_config"] = resolved
-    doc["cli_config_sha256"] = config_sha(resolved)
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
+    echo = {"subcommand": subcommand, _ECHO: resolved, "cli_config_sha256": config_sha(resolved)}
+    _write_json(path, {**doc, **echo})
 
 
 def _run_manifest(subcommand: str, resolved: dict, threads: int) -> int:
@@ -111,7 +120,12 @@ def _run_manifest(subcommand: str, resolved: dict, threads: int) -> int:
         raise ConfigError(
             "an output directory is required (set [run] out or pass --out)"
         )
-    summary = run(cfg)
+    try:
+        summary = run(cfg)
+    except _ABORTING:
+        # an aborted summary carries the echo too, so it can be fed back
+        _inject_echo(cfg.out_dir, subcommand, resolved)
+        raise
     _inject_echo(cfg.out_dir, subcommand, resolved)
     s, d = summary.terminals.shape
     print(f"wrote {s} samples (dim {d}) to {cfg.out_dir}")
@@ -166,17 +180,14 @@ def _cmd_estimate_z(args) -> int:
     steps = _list(args.steps_list, "--steps-list", int)
     samples = _list(args.samples_list, "--samples-list", int)
     rows = estimate_z_convergence(cfg, steps, samples, args.repeats)
-    lines = ["sweep,setting,repeat,z"]
-    for r in rows:
-        lines.append(f"{r['sweep']},{r['setting']},{r['repeat']},{r['z']:.17g}")
+    table = [(r["sweep"], r["setting"], r["repeat"], r["z"]) for r in rows]
+    path = None
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "zsweep.csv")
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+    _write_csv(path, "sweep,setting,repeat,z", "%s,%d,%d,%.17g", table)
+    if path:
         print(f"wrote {len(rows)} rows to {path}")
-    else:
-        print("\n".join(lines))
     for sweep in ("steps", "samples"):
         settings = sorted({r["setting"] for r in rows if r["sweep"] == sweep})
         for s in settings:
@@ -209,9 +220,6 @@ def _listed_file(run_dir: str, name: str) -> str:
     return path
 
 
-_TRAJECTORY_NAME = re.compile(r"trajectory_([0-9]+)\.csv")
-
-
 def _load_trajectories(run_dir: str, doc: dict, terminals: np.ndarray):
     """(times, states, weighted, terminals) of the run's trajectory files,
     or None when the run recorded none."""
@@ -219,31 +227,21 @@ def _load_trajectories(run_dir: str, doc: dict, terminals: np.ndarray):
     if not names:
         return None
     n, d = terminals.shape
-    times = None
-    states, weighted, rows = [], [], []
+    rows, tables = [], []
     for name in names:
         # the index in the name pairs the file with its terminal
-        m = _TRAJECTORY_NAME.fullmatch(str(name))
+        m = _TRAJECTORY_INDEX.fullmatch(str(name))
         if m is None or int(m.group(1)) >= n:
             raise FormatError(
                 f"{name!r} is listed in summary.json but is not "
-                f"trajectory_<i>.csv with 0 <= i < {n}"
+                f"{_TRAJECTORY_FILE.format('<i>')} with 0 <= i < {n}"
             )
         rows.append(int(m.group(1)))
-        data = np.loadtxt(
-            _listed_file(run_dir, name), delimiter=",", skiprows=1, ndmin=2
-        )
-        if data.shape[1] != 2 * d + 2:
-            raise FormatError(
-                f"{name}: expected {2 * d + 2} columns for dim {d}, got {data.shape[1]}"
-            )
-        if times is None:
-            times = data[:, 0]
-        elif not np.array_equal(data[:, 0], times):
+        tables.append(_read_trajectory(_listed_file(run_dir, name), d))
+        if not np.array_equal(tables[-1][0], tables[0][0]):
             raise FormatError(f"{name}: t column differs from {names[0]}'s")
-        states.append(data[:, 1 : d + 1])
-        weighted.append(data[:, d + 1 : 2 * d + 1])
-    return times, np.stack(states), np.stack(weighted), terminals[rows]
+    times, states, weighted = zip(*tables)
+    return times[0], np.stack(states), np.stack(weighted), terminals[rows]
 
 
 def _mixture_from_doc(doc):
@@ -279,12 +277,8 @@ def _cmd_diagnose(args) -> int:
                 series, threshold=args.threshold, n_resamples=args.bootstrap
             )
         write_autocorr_csv(os.path.join(out_dir, "autocorr.csv"), series)
-        write_transition_json(
-            os.path.join(out_dir, "transition.json"),
-            series,
-            threshold=args.threshold,
-            bootstrap=boot,
-        )
+        path = os.path.join(out_dir, "transition.json")
+        write_transition_json(path, series, threshold=args.threshold, bootstrap=boot)
         t_w = transition_time(series, args.threshold)
         print(f"trajectories: {series.n_trajectories}")
         print(f"weighted-state transition: {t_w:.6g}")
@@ -307,48 +301,27 @@ def _cmd_oracle_check(args) -> int:
         raise ConfigError("--t-list and --x-list must be nonempty")
     uhis = UhisControlEvaluator(params, energy, UhisConfig(n_is=args.n_is))
     rng = np.random.default_rng(args.seed)
-    rows = []
-    worst_rel = 0.0
-    worst_abs = 0.0
-    min_ess = math.inf
-    n_low = 0
     quadrature = QuadratureControlEvaluator(params, energy)
+    rows, outs = [], []
     for t in ts:
         u_qs = quadrature(t, np.array(xs)[:, None]).drift[:, 0]
         for x, u_q in zip(xs, u_qs.tolist()):
-            xv = np.array([x])
-            xi = normals_from(rng, (args.n_is, 1))
-            out = uhis(t, xv, xi)
-            u_is = float(out.drift[0])
-            min_ess = min(min_ess, float(out.ess))
-            n_low += int(out.low_ess)
+            outs.append(uhis(t, np.array([x]), normals_from(rng, (args.n_is, 1))))
+            u_is = float(outs[-1].drift[0])
             err = abs(u_is - u_q)
-            if abs(u_q) >= 0.05:
-                rel = err / abs(u_q)
-                worst_rel = max(worst_rel, rel)
-            else:
-                rel = math.nan
-                worst_abs = max(worst_abs, err)
+            rel = err / abs(u_q) if abs(u_q) >= 0.05 else math.nan  # none for small controls
             rows.append((t, x, u_is, u_q, err, rel))
     header = "t,x,u_is,u_quadrature,abs_err,rel_err"
-    lines = [header]
-    for t, x, u_is, u_q, err, rel in rows:
-        lines.append(
-            f"{t:g},{x:g},{u_is:.10g},{u_q:.10g},{err:.3g},"
-            + (f"{rel:.3g}" if math.isfinite(rel) else "nan")
-        )
-    text = "\n".join(lines)
+    _write_csv(args.out or None, header, "%g,%g,%.10g,%.10g,%.3g,%.3g", rows)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
         print(f"wrote {len(rows)} comparisons to {args.out}")
-    else:
-        print(text)
-    print(f"max relative control error: {worst_rel:.4g}")
-    print(f"max absolute error on small controls: {worst_abs:.4g}")
-    print(f"min ESS: {min_ess:.4g}")
+    table = np.array(rows)
+    small = np.abs(table[:, 3]) < 0.05
+    print(f"max relative control error: {np.max(table[~small, 5], initial=0.0):.4g}")
+    print(f"max absolute error on small controls: {np.max(table[small, 4], initial=0.0):.4g}")
+    print(f"min ESS: {min(float(o.ess) for o in outs):.4g}")
     # a row whose weight sits on one probe draw is not an estimate
-    print(f"rows with ESS < 1.5: {n_low} of {len(rows)}")
+    print(f"rows with ESS < 1.5: {sum(bool(o.low_ess) for o in outs)} of {len(rows)}")
     return 0
 
 
@@ -424,10 +397,7 @@ def main(argv=None) -> int:
     except (ConfigError, FormatError, InputError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (IntegrationError, AccuracyError, DegenerateProbeGaussianError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (IntegrationError, AccuracyError, DegenerateProbeGaussianError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -56,6 +56,7 @@ _TYPES = {
 }
 
 _REQUIRED = None  # the default of a key the manifest must give
+_ECHO = "cli_config"  # the summary.json key that holds a CLI run's manifest
 _ENERGY_CONTROLS = ("uhis", "oracle")
 
 
@@ -158,37 +159,28 @@ def load_config_file(path: str) -> dict:
                 doc = json.load(f)
             except json.JSONDecodeError as e:
                 raise ConfigError(f"{path}: not valid JSON ({e})") from None
-        if isinstance(doc, dict) and "cli_config" in doc:
-            doc = doc["cli_config"]
+        if isinstance(doc, dict) and _ECHO in doc:
+            doc = doc[_ECHO]
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: expected a JSON object")
-        bad = [s for s in doc if s not in _SECTIONS]
-        if bad:
-            raise ConfigError(
-                f"{path}: unknown section(s) {bad}; expected {list(_SECTIONS)}"
-            )
-        for s, sec in doc.items():
-            if not isinstance(sec, dict):
-                raise ConfigError(f"{path}: section {s!r} must be an object")
-        return {
-            s: {str(k): _fmt(v) if not isinstance(v, str) else v
-                for k, v in sec.items()}
-            for s, sec in doc.items()
-        }
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        with open(path) as f:
-            parser.read_file(f)
-    except configparser.Error as e:
-        raise ConfigError(f"{path}: {e}") from None
-    raw = {}
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(
-                f"{path}: unknown section [{section}]; expected {list(_SECTIONS)}"
-            )
-        raw[section] = dict(parser.items(section))
-    return raw
+    else:
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            with open(path) as f:
+                parser.read_file(f)
+        except configparser.Error as e:
+            raise ConfigError(f"{path}: {e}") from None
+        doc = {section: dict(parser.items(section)) for section in parser.sections()}
+    bad = [s for s in doc if s not in _SECTIONS]
+    if bad:
+        raise ConfigError(f"{path}: unknown section(s) {bad}; expected {list(_SECTIONS)}")
+    for s, sec in doc.items():
+        if not isinstance(sec, dict):
+            raise ConfigError(f"{path}: section {s!r} must be an object")
+    return {
+        s: {str(k): v if isinstance(v, str) else _fmt(v) for k, v in sec.items()}
+        for s, sec in doc.items()
+    }
 
 
 def resolve(raw: dict, overrides: dict | None = None) -> dict:

@@ -1,5 +1,7 @@
 """Post-run diagnostics: the overlap of x(t) and x-hat(t) with the
-terminal sample, mode-coverage histograms, and transition-time readouts.
+terminal sample, mode-coverage histograms, and transition-time readouts,
+and the files autocorr.csv, modes.csv and transition.json that hold them
+(written by the writers of targets; an unreached crossing is null).
 
 The overlap curves expose the two-phase character of the controlled
 process: the weighted state x-hat commits to the final sample early
@@ -12,14 +14,13 @@ curves are averaged across trajectories; the per-trajectory rows are
 kept alongside the averages so resampling tests can work on them.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .targets import GaussianMixtureEnergy, assign_modes
+from .targets import GaussianMixtureEnergy, _write_csv, _write_json, assign_modes
 
 
 @dataclass(frozen=True)
@@ -168,20 +169,13 @@ def mode_assignment(terminals, m: GaussianMixtureEnergy) -> ModeHistogram:
 
 
 def write_autocorr_csv(path: str, series: AutocorrSeries) -> None:
-    with open(path, "w") as f:
-        f.write("t,corr_state,corr_weighted\n")
-        for i in range(series.times.shape[0]):
-            f.write(
-                f"{series.times[i]:.17g},{series.corr_state[i]:.17g},"
-                f"{series.corr_weighted[i]:.17g}\n"
-            )
+    table = np.column_stack([series.times, series.corr_state, series.corr_weighted])
+    _write_csv(path, "t,corr_state,corr_weighted", "%.17g,%.17g,%.17g", table)
 
 
 def write_modes_csv(path: str, hist: ModeHistogram) -> None:
-    with open(path, "w") as f:
-        f.write("mode,count,expected\n")
-        for i in range(hist.counts.shape[0]):
-            f.write(f"{i},{int(hist.counts[i])},{hist.expected[i]:.17g}\n")
+    table = np.column_stack([np.arange(hist.counts.size), hist.counts, hist.expected])
+    _write_csv(path, "mode,count,expected", "%d,%d,%.17g", table)
 
 
 def write_transition_json(
@@ -191,19 +185,8 @@ def write_transition_json(
         "threshold": threshold,
         "n_trajectories": series.n_trajectories,
         "transition_weighted": transition_time(series, threshold),
-        "transition_state": _first_crossing(
-            series.times, series.corr_state, threshold
-        ),
+        "transition_state": _first_crossing(series.times, series.corr_state, threshold),
     }
     if bootstrap is not None:
         doc["bootstrap_gap"] = bootstrap
-    with open(path, "w") as f:
-        json.dump(_finite_or_null(doc), f, indent=2, sort_keys=True, allow_nan=False)
-
-
-def _finite_or_null(v):
-    """v with every non-finite float, at any depth, as None: JSON has no
-    nan, and null marks a crossing that was never reached."""
-    if isinstance(v, dict):
-        return {k: _finite_or_null(x) for k, x in v.items()}
-    return None if isinstance(v, float) and not math.isfinite(v) else v
+    _write_json(path, doc)

@@ -19,7 +19,8 @@ PURPOSE_INCREMENT = 0
 PURPOSE_PROBE = 1
 
 _U64 = 0xFFFFFFFFFFFFFFFF
-# smallest uniform passed to ndtri; keeps the tail bounded at ~ -8.5 sigma
+# smallest uniform passed to ndtri: ndtri(2**-54) is -8.29 sigma, and the
+# largest uniform, 1 - 2**-53, maps to +8.21 sigma
 _U_FLOOR = 2.0 ** -54
 
 

@@ -5,11 +5,16 @@ one shared probe panel per step), and every product over trajectory rows
 runs on fixed-size row tiles, so the terminal array is bit-identical no
 matter how the population is chunked or how many worker threads advance
 the chunks, for every drift evaluator and for scalar or matrix beta.
-Chunks bound the per-step working set (for a shared probe panel the
-(B, n_is) log-weight block dominates, for per-trajectory noise the
-n_is * d probe draws per trajectory, and for a dataset or a quadrature
-grid the B x kernels._COL_TILE log-weights of one column tile) and give
-every worker thread at least one chunk.
+Chunks bound the per-step working set (for a shared probe panel that
+the energy weighs by panel_logw the (B, n_is) log-weight block, for
+per-trajectory noise or any other energy the n_is * d probe draws per
+trajectory, and for a dataset or a quadrature grid the
+B x kernels._COL_TILE log-weights of one column tile) and give every
+worker thread at least one chunk.
+
+A run with out_dir writes terminals.bin, its trajectory files and
+summary.json in the formats of targets; one stopped by an _ABORTING
+error writes an "aborted" summary.json before it raises.
 
 Energy-mode runs also estimate the partition function from the same
 trajectories. Each path's exact log weight against the uncontrolled
@@ -44,10 +49,18 @@ from .control import (
 from .errors import AccuracyError, ConfigError, IntegrationError
 from .kernels import _COL_TILE, _ROW_TILE, ScalarBeta, decompose, log_g_plus
 from .sde import SdeConfig, integrate_batch
-from .targets import Energy, load_dataset, save_dataset
+from .targets import (
+    _TRAJECTORY_FILE,
+    Energy,
+    _write_json,
+    _write_trajectory_csv,
+    load_dataset,
+    save_dataset,
+)
 
 _ENERGY_MODES = ("uhis", "quadrature-oracle")
 _CHUNK_ELEMENTS = 4_000_000  # per-step working-set budget (doubles)
+_ABORTING = (IntegrationError, AccuracyError)  # errors that leave an aborted summary
 
 
 @dataclass
@@ -120,8 +133,7 @@ def _canonical_config(cfg: RunConfig, dim: int, target_desc: dict) -> dict:
             "t_min": float(cfg.uhis.t_min),
         }
     if cfg.quadrature is not None and cfg.control_mode == "quadrature-oracle":
-        g = cfg.quadrature
-        c["quadrature"] = {"lo": g.lo, "hi": g.hi, "n": g.n}
+        c["quadrature"] = dataclasses.asdict(cfg.quadrature)
     return c
 
 
@@ -185,7 +197,11 @@ def _chunk_size(evaluator, dim: int, threads: int = 1, n_samples: int = 0) -> in
     whole 16-row tiles; with threads > 1, also few enough that n_samples
     make at least `threads` chunks, rounded up to whole 16-row tiles."""
     if isinstance(evaluator, UhisControlEvaluator):
-        chunk = max(1, _CHUNK_ELEMENTS // max(1, evaluator.cfg.n_is * dim))
+        # a shared panel weighed by panel_logw holds one (n_is,) log-weight
+        # row per trajectory; any other probe draws an (n_is, d) block each
+        shared = evaluator.reuse_probe_noise and hasattr(evaluator.energy, "panel_logw")
+        per_row = evaluator.cfg.n_is * (1 if shared else dim)
+        chunk = max(1, _CHUNK_ELEMENTS // max(1, per_row))
     else:
         chunk = max(1, _CHUNK_ELEMENTS // (_COL_TILE * _ROW_TILE)) * _ROW_TILE
     if threads > 1:
@@ -200,36 +216,20 @@ def _log_z_terms(params, energy, batch):
     return batch.log_weight - e_term - g_term
 
 
-def _finite_or_none(v):
-    """v for the JSON manifest: null when absent or not finite."""
-    return v if v is not None and np.isfinite(v) else None
+def _write_summary(out_dir: str, canonical: dict, doc: dict) -> None:
+    """summary.json: doc (the run's status and its fields), config, config_sha256."""
+    os.makedirs(out_dir, exist_ok=True)
+    doc = {**doc, "config": canonical, "config_sha256": config_sha(canonical)}
+    _write_json(os.path.join(out_dir, "summary.json"), doc)
 
 
-def _write_aborted(cfg: RunConfig, canonical, err: Exception, done: int):
-    if cfg.out_dir is None:
-        return
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    manifest = {
-        "status": "aborted",
-        "error": str(err),
-        "failed_step": getattr(err, "step", None),
-        "failed_trajectory": getattr(err, "trajectory", None),
-        "trajectories_completed": done,
-        "config": canonical,
-        "config_sha256": config_sha(canonical),
-    }
-    with open(os.path.join(cfg.out_dir, "summary.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-
-
-def _write_outputs(cfg: RunConfig, summary: RunSummary, batches, starts):
-    out = cfg.out_dir
+def _write_outputs(out: str, summary: RunSummary, batches, starts):
     os.makedirs(out, exist_ok=True)
     save_dataset(os.path.join(out, "terminals.bin"), summary.terminals)
     traj_files = []
     for b, start in zip(batches, starts):
         for j, rel in enumerate(b.record_indices):
-            name = f"trajectory_{start + int(rel)}.csv"
+            name = _TRAJECTORY_FILE.format(start + int(rel))
             traj_files.append(name)
             path = os.path.join(out, name)
             ws, ess = b.weighted_states[j], b.ess_series[j]
@@ -238,30 +238,17 @@ def _write_outputs(cfg: RunConfig, summary: RunSummary, batches, starts):
     finite = ess[np.isfinite(ess)]
     doc = {
         "status": "complete",
-        "config": summary.config,
-        "config_sha256": summary.config_hash,
         "n_samples": int(summary.terminals.shape[0]),
         "dim": int(summary.terminals.shape[1]),
-        "z_estimate": _finite_or_none(summary.z_estimate),
-        "z_stderr": _finite_or_none(summary.z_stderr),
-        "min_ess": _finite_or_none(summary.min_ess),
+        "z_estimate": summary.z_estimate,
+        "z_stderr": summary.z_stderr,
+        "min_ess": summary.min_ess,
         "ess_min_median": float(np.median(finite)) if finite.size else None,
         "low_ess_fraction": float((finite < 1.5).mean()) if finite.size else None,
         "terminals": "terminals.bin",
         "trajectories": traj_files,
     }
-    with open(os.path.join(out, "summary.json"), "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-
-
-def _write_trajectory_csv(path: str, times, states, weighted, ess):
-    """One row per recorded step: t, state, weighted state, ess."""
-    d = states.shape[1]
-    header = ",".join(
-        ["t"] + [f"x{j}" for j in range(d)] + [f"xhat{j}" for j in range(d)] + ["ess"]
-    )
-    table = np.column_stack([times, states, weighted, ess])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    _write_summary(out, summary.config, doc)
 
 
 def run(cfg: RunConfig) -> RunSummary:
@@ -288,17 +275,22 @@ def run(cfg: RunConfig) -> RunSummary:
 
     batches = []
     try:
+        # extend keeps, in order, the chunks finished before a failing one
         if cfg.threads > 1 and len(starts) > 1:
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                for b in pool.map(_one, starts):
-                    batches.append(b)
+                batches.extend(pool.map(_one, starts))
         else:
-            for s in starts:
-                batches.append(_one(s))
-    except (IntegrationError, AccuracyError) as err:
-        # chunks are collected in order, so these precede the failing one
-        done = sum(b.terminals.shape[0] for b in batches)
-        _write_aborted(cfg, canonical, err, done=done)
+            batches.extend(map(_one, starts))
+    except _ABORTING as err:
+        if cfg.out_dir is not None:
+            doc = {
+                "status": "aborted",
+                "error": str(err),
+                "failed_step": getattr(err, "step", None),
+                "failed_trajectory": getattr(err, "trajectory", None),
+                "trajectories_completed": sum(b.terminals.shape[0] for b in batches),
+            }
+            _write_summary(cfg.out_dir, canonical, doc)
         raise
 
     terminals = np.concatenate([b.terminals for b in batches], axis=0)
@@ -326,7 +318,7 @@ def run(cfg: RunConfig) -> RunSummary:
         config_hash=chash,
     )
     if cfg.out_dir is not None:
-        _write_outputs(cfg, summary, batches, starts)
+        _write_outputs(cfg.out_dir, summary, batches, starts)
     return summary
 
 

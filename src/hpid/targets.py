@@ -1,4 +1,5 @@
-"""Built-in target energies, dataset IO, and exact target-side oracles.
+"""Built-in target energies, dataset IO, the run directory's file
+formats, and exact target-side oracles.
 
 Energy convention: targets are specified by E with density proportional
 to exp(-E); any normalization constant is absorbed into E and cancels in
@@ -12,7 +13,11 @@ All energies evaluate batched: value maps (..., d) -> (...,). They are
 immutable after construction and safe for concurrent evaluation.
 """
 
+import json
+import re
 import struct
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -262,7 +267,7 @@ def save_dataset(path: str, samples) -> None:
     if s.ndim != 2 or s.shape[0] < 1:
         raise InputError(f"samples must be a nonempty (S, d) array, got {s.shape}")
     if str(path).lower().endswith(".csv"):
-        np.savetxt(path, s, delimiter=",")
+        _write_csv(path, "", ",".join(["%.18e"] * s.shape[1]), s)
         return
     with open(path, "wb") as f:
         f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, s.shape[0], s.shape[1]))
@@ -322,3 +327,59 @@ def load_dataset(path: str) -> EmpiricalTarget:
             )
     data = np.frombuffer(payload, dtype="<f8").reshape(count, dim)
     return EmpiricalTarget(samples=np.array(data, dtype=float))
+
+
+# The text formats: _write_json writes every JSON file, _write_csv every
+# table, and recorded path i is _TRAJECTORY_FILE.format(i), one row per
+# recorded step, written by _write_trajectory_csv, read by _read_trajectory.
+_TRAJECTORY_FILE = "trajectory_{}.csv"
+_TRAJECTORY_INDEX = re.compile(re.escape(_TRAJECTORY_FILE).replace(r"\{\}", "([0-9]+)"))
+_CSV_BLOCK = 4096  # rows per %: one for every table a run writes
+
+
+def _write_trajectory_csv(path: str, times, states, weighted, ess) -> None:
+    d = states.shape[1]
+    header = ["t", *(f"x{j}" for j in range(d)), *(f"xhat{j}" for j in range(d)), "ess"]
+    table = np.column_stack([times, states, weighted, ess])
+    _write_csv(path, ",".join(header), ",".join(["%.17g"] * len(header)), table)
+
+
+def _read_trajectory(path: str, d: int):
+    """(t, x, xhat) of a trajectory file of dim d."""
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if table.shape[1] != 2 * d + 2:
+        raise FormatError(
+            f"{path}: expected {2 * d + 2} columns for dim {d}, got {table.shape[1]}"
+        )
+    return table[:, 0], table[:, 1 : d + 1], table[:, d + 1 : 2 * d + 1]
+
+
+def _finite_or_null(v):
+    """v with every non-finite float, at any depth, as None: JSON has no
+    nan, and null marks a value that is absent or was never reached."""
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_finite_or_null(x) for x in v]
+    return None if isinstance(v, float) and not np.isfinite(v) else v
+
+
+def _write_json(path: str, doc: dict) -> None:
+    """doc as strict JSON, keys sorted and indented by 2."""
+    with open(path, "w") as f:
+        json.dump(_finite_or_null(doc), f, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _write_csv(path, header: str, row_format: str, rows) -> None:
+    """rows (a 2-d array, or a list of tuples) as CSV text, to path or, when
+    path is None, to standard output: the header line unless it is empty,
+    then one row_format line per row. A single % formats each block of
+    _CSV_BLOCK rows, so memory stays bounded for any row count."""
+    rows = np.asarray(rows, dtype=object) if isinstance(rows, list) else rows
+    line = row_format + "\n"
+    with nullcontext(sys.stdout) if path is None else open(path, "w") as f:
+        if header:
+            f.write(header + "\n")
+        for lo in range(0, len(rows), _CSV_BLOCK):
+            block = rows[lo : lo + _CSV_BLOCK]
+            f.write(line * len(block) % tuple(block.ravel().tolist()))

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import hpid.sampler as sampler_mod
 from hpid.cli import _threads, main
+from hpid.errors import IntegrationError
 from hpid.targets import load_dataset, save_dataset
 
 GAUSS_INI = """\
@@ -197,6 +199,33 @@ def test_numerical_failure_is_exit_3(tmp_path, capsys):
     rc = main(["sample-energy", "--config", cfg, "--samples", "2", "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_aborted_run_reruns_from_its_summary(tmp_path, capsys, monkeypatch):
+    # an aborted summary.json echoes the manifest as a complete one does,
+    # so feeding it back reruns the same run into the same directory
+    inner = sampler_mod.integrate_batch
+
+    def explode(*a, **k):
+        raise IntegrationError(step=3, state_norm=12.5, trajectory=0)
+
+    monkeypatch.setattr(sampler_mod, "integrate_batch", explode)
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, "m.ini", GAUSS_INI)
+    assert main(["sample-energy", "--config", cfg, "--out", str(out), "--threads", "1"]) == 3
+    aborted = json.loads((out / "summary.json").read_text())
+    assert aborted["status"] == "aborted"
+    assert aborted["subcommand"] == "sample-energy"
+    assert aborted["cli_config"]["run"]["out"] == str(out)
+
+    monkeypatch.setattr(sampler_mod, "integrate_batch", inner)
+    argv = ["sample-energy", "--config", str(out / "summary.json"), "--threads", "1"]
+    assert main(argv) == 0
+    assert f"wrote 32 samples (dim 1) to {out}" in capsys.readouterr().out
+    done = json.loads((out / "summary.json").read_text())
+    assert done["status"] == "complete"
+    for key in ("subcommand", "cli_config", "cli_config_sha256", "config", "config_sha256"):
+        assert done[key] == aborted[key], key
 
 
 def test_threads_env_fallback(tmp_path, capsys, monkeypatch):

@@ -10,7 +10,9 @@ hpid.control.name, that the package does not have: tests/test_demos.py
 does not run every demo, so a removed public name could otherwise break
 one unseen. And it fails on a module-level private function, class or
 constant of src/hpid that no file of src/hpid reads, so that a helper or
-a setting is not kept alive by the tests alone.
+a setting is not kept alive by the tests alone. Last, it fails on any use
+of json.dump or np.savetxt outside src/hpid/targets.py: every JSON file
+and table the package writes has its format there, once.
 """
 
 import ast
@@ -178,3 +180,42 @@ def test_no_unread_private_defs():
     assert "src/hpid/control.py" in trees
     unread = [f"{m}:{line}: {name}" for m, line, name in _unread_private_defs(trees)]
     assert not unread, "private but never read in src/hpid:\n" + "\n".join(unread)
+
+
+FORMATS = "src/hpid/targets.py"  # the one module that writes JSON and tables
+_FORMAT_WRITERS = {"json": "dump", "np": "savetxt", "numpy": "savetxt"}
+
+
+def _format_writes(tree):
+    """(line, name) of each json.dump or np.savetxt that tree reads or
+    imports by name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if _FORMAT_WRITERS.get(node.value.id) == node.attr:
+                found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module in _FORMAT_WRITERS:
+            writer = _FORMAT_WRITERS[node.module]
+            if any(a.name == writer for a in node.names):
+                found.append((node.lineno, f"{node.module}.{writer}"))
+    return sorted(found)
+
+
+def test_scan_flags_a_format_write():
+    tree = ast.parse(
+        "import json\nimport numpy as np\nfrom json import dump, load\n"
+        "json.dump({}, f)\nnp.savetxt(p, a)\njson.dumps({})\nnp.save(p, a)\n"
+    )
+    assert _format_writes(tree) == [(3, "json.dump"), (4, "json.dump"), (5, "np.savetxt")]
+
+
+def test_only_the_format_module_writes_json_and_tables():
+    files = {p.relative_to(ROOT).as_posix() for p in _sources()}
+    assert FORMATS in files
+    writes = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in _sources()
+        if path.relative_to(ROOT).as_posix() != FORMATS
+        for line, name in _format_writes(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not writes, f"written outside {FORMATS}:\n" + "\n".join(writes)

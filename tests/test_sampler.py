@@ -19,6 +19,7 @@ from hpid.kernels import ScalarBeta
 from hpid.sampler import RunConfig, estimate_z_convergence, run
 from hpid.sde import SdeConfig, integrate_batch
 from hpid.targets import (
+    DoubleWellEnergy,
     GaussianEnergy,
     grid_mixture,
     load_dataset,
@@ -126,9 +127,12 @@ def _property_cfg(kind, n_samples, threads, energy="mixture", spread=1.0):
 
 def _run_in_chunks(cfg, chunk):
     """run(cfg) with the working-set budget set to `chunk` trajectories; a
-    dataset's chunk counts single rows, not whole 16-row tiles."""
+    dataset's chunk counts single rows, not whole 16-row tiles, and a shared
+    panel costs n_is per trajectory (every energy of _ENERGIES has
+    panel_logw), per-trajectory noise n_is * d."""
     if cfg.control_mode == "uhis":
-        budget = {"_CHUNK_ELEMENTS": chunk * cfg.uhis.n_is * 2}
+        per_row = cfg.uhis.n_is * (1 if cfg.uhis.reuse_probe_noise else 2)
+        budget = {"_CHUNK_ELEMENTS": chunk * per_row}
     else:
         budget = {"_CHUNK_ELEMENTS": chunk * sampler_mod._COL_TILE, "_ROW_TILE": 1}
     with mock.patch.multiple(sampler_mod, **budget):
@@ -398,6 +402,23 @@ def test_dataset_chunks_bound_the_working_set(monkeypatch):
     assert sizes == [9, 9, 9, 5]
     assert np.array_equal(split.terminals, whole.terminals)
     assert np.array_equal(split.ess_min, whole.ess_min)
+
+
+def test_shared_panel_chunks_do_not_depend_on_dim():
+    # a shared panel weighed by panel_logw holds one (n_is,) log-weight row
+    # per trajectory; per-trajectory noise, and an energy without
+    # panel_logw, draw an (n_is, d) block each
+    def chunk(energy, reuse):
+        uhis = UhisConfig(n_is=1000, reuse_probe_noise=reuse)
+        evaluator = sampler_mod._validate_and_build(_gauss_cfg(energy=energy, uhis=uhis))[2]
+        return sampler_mod._chunk_size(evaluator, energy.dim)
+
+    budget = sampler_mod._CHUNK_ELEMENTS
+    assert chunk(grid_mixture(), True) == budget // 1000
+    for d in (2, 25):
+        assert chunk(GaussianEnergy(dim=d), True) == budget // 1000
+        assert chunk(GaussianEnergy(dim=d), False) == budget // (1000 * d)
+        assert chunk(DoubleWellEnergy(dim=d), True) == budget // (1000 * d)
 
 
 _GRID_CENTERS = [[a, b] for a in (-5.0, 0.0, 5.0) for b in (-5.0, 0.0, 5.0)]
