@@ -8,7 +8,8 @@ Subcommands:
   oracle-check      UhisControlEvaluator vs QuadratureControlEvaluator,
                     one evaluator each, on a 1-d double well
 
-Exit codes: 0 success; 2 bad configuration, schema, or input file;
+Exit codes: 0 success; 2 bad configuration, schema, or input file (a
+trajectories.bin its summary.json does not describe, an unwritable --out);
 3 numerical failure (diverged trajectory, accuracy contract missed).
 A sampling run's summary.json, complete or aborted, echoes its resolved
 manifest (subcommand, cli_config, cli_config_sha256); passed back to
@@ -61,11 +62,9 @@ from .kernels import ScalarBeta
 from .rng import normals_from
 from .sampler import _ABORTING, config_sha, estimate_z_convergence, run
 from .targets import (
-    _TRAJECTORY_FILE,
-    _TRAJECTORY_INDEX,
     DoubleWellEnergy,
     GaussianMixtureEnergy,
-    _read_trajectory,
+    _read_container,
     _write_csv,
     _write_json,
     load_dataset,
@@ -221,27 +220,42 @@ def _listed_file(run_dir: str, name: str) -> str:
 
 
 def _load_trajectories(run_dir: str, doc: dict, terminals: np.ndarray):
-    """(times, states, weighted, terminals) of the run's trajectory files,
+    """(times, states, weighted, terminals) of the run's trajectories.bin,
     or None when the run recorded none."""
-    names = doc.get("trajectories") or []
-    if not names:
+    name = doc.get("trajectories")
+    if not name:
         return None
+    if not isinstance(name, str):
+        raise FormatError(
+            f"{os.path.join(run_dir, 'summary.json')} lists trajectories {name!r}: "
+            "the run was written in the old format, one CSV per path; rerun it to "
+            "write trajectories.bin"
+        )
+    path = _listed_file(run_dir, name)
+    table = _read_container(path)
     n, d = terminals.shape
-    rows, tables = [], []
-    for name in names:
-        # the index in the name pairs the file with its terminal
-        m = _TRAJECTORY_INDEX.fullmatch(str(name))
-        if m is None or int(m.group(1)) >= n:
+    w = 2 * d + 2
+    if table.shape[1] != w:
+        raise FormatError(f"{path}: expected {w} columns for dim {d}, got {table.shape[1]}")
+    # each recorded index pairs a block of rows with its terminal
+    rows, seen = doc.get("recorded"), set()
+    for i in rows if isinstance(rows, list) and rows else [rows]:
+        if type(i) is not int or not 0 <= i < n or i in seen:
             raise FormatError(
-                f"{name!r} is listed in summary.json but is not "
-                f"{_TRAJECTORY_FILE.format('<i>')} with 0 <= i < {n}"
+                f"{path}: recorded entry {i!r} is not a distinct sample index 0 <= i < {n}"
             )
-        rows.append(int(m.group(1)))
-        tables.append(_read_trajectory(_listed_file(run_dir, name), d))
-        if not np.array_equal(tables[-1][0], tables[0][0]):
-            raise FormatError(f"{name}: t column differs from {names[0]}'s")
-    times, states, weighted = zip(*tables)
-    return times[0], np.stack(states), np.stack(weighted), terminals[rows]
+        seen.add(i)
+    if table.shape[0] % len(rows):
+        raise FormatError(f"{path}: {table.shape[0]} rows do not split into {len(rows)} paths")
+    table = table.reshape(len(rows), -1, w)
+    t = table[:, :, 0]
+    bad = np.flatnonzero((t != t[0]).any(axis=1))
+    if bad.size:
+        raise FormatError(f"{path}: t column of path {rows[bad[0]]} differs from path {rows[0]}'s")
+    # contiguous copies, laid out as the in-memory record
+    states = np.ascontiguousarray(table[:, :, 1 : d + 1])
+    weighted = np.ascontiguousarray(table[:, :, d + 1 : w - 1])
+    return t[0], states, weighted, terminals[rows]
 
 
 def _mixture_from_doc(doc):
@@ -394,10 +408,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FormatError, InputError, DomainError) as e:
+    except (ConfigError, FormatError, InputError, DomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (IntegrationError, AccuracyError, DegenerateProbeGaussianError, OSError) as e:
+    except (IntegrationError, AccuracyError, DegenerateProbeGaussianError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -38,7 +38,7 @@ def autocorrelation(times, states, weighted, terminals) -> AutocorrSeries:
 
     times (R,), states and weighted (B, R, d), terminals (B, d): the
     recorded rows of a BatchTrajectories, or the same arrays read back
-    from a run's trajectory files.
+    from a run's trajectories.bin.
     """
     shapes = [np.shape(a) for a in (times, states, weighted, terminals)]
     b, r, d = shapes[1] if len(shapes[1]) == 3 else (0, 0, 0)

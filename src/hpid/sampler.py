@@ -12,9 +12,10 @@ trajectory, and for a dataset or a quadrature grid the
 B x kernels._COL_TILE log-weights of one column tile) and give every
 worker thread at least one chunk.
 
-A run with out_dir writes terminals.bin, its trajectory files and
-summary.json in the formats of targets; one stopped by an _ABORTING
-error writes an "aborted" summary.json before it raises.
+A run with out_dir writes terminals.bin, summary.json and trajectories.bin
+(t, x, x-hat and ESS rows, streamed one recorded path at a time) in the
+formats of targets; one stopped by an _ABORTING error writes an
+"aborted" summary.json before it raises.
 
 Energy-mode runs also estimate the partition function from the same
 trajectories. Each path's exact log weight against the uncontrolled
@@ -49,14 +50,7 @@ from .control import (
 from .errors import AccuracyError, ConfigError, IntegrationError
 from .kernels import _COL_TILE, _ROW_TILE, ScalarBeta, decompose, log_g_plus
 from .sde import SdeConfig, integrate_batch
-from .targets import (
-    _TRAJECTORY_FILE,
-    Energy,
-    _write_json,
-    _write_trajectory_csv,
-    load_dataset,
-    save_dataset,
-)
+from .targets import Energy, _write_container, _write_json, load_dataset, save_dataset
 
 _ENERGY_MODES = ("uhis", "quadrature-oracle")
 _CHUNK_ELEMENTS = 4_000_000  # per-step working-set budget (doubles)
@@ -75,7 +69,7 @@ class RunConfig:
     quadrature: QuadratureGrid | None = None
     out_dir: str | None = None
     threads: int = 1
-    n_record: int = 0  # leading trajectories written as CSV
+    n_record: int = 0  # leading trajectories written to trajectories.bin
 
 
 @dataclass
@@ -226,14 +220,16 @@ def _write_summary(out_dir: str, canonical: dict, doc: dict) -> None:
 def _write_outputs(out: str, summary: RunSummary, batches, starts):
     os.makedirs(out, exist_ok=True)
     save_dataset(os.path.join(out, "terminals.bin"), summary.terminals)
-    traj_files = []
-    for b, start in zip(batches, starts):
-        for j, rel in enumerate(b.record_indices):
-            name = _TRAJECTORY_FILE.format(start + int(rel))
-            traj_files.append(name)
-            path = os.path.join(out, name)
-            ws, ess = b.weighted_states[j], b.ess_series[j]
-            _write_trajectory_csv(path, b.times, b.states[j], ws, ess)
+    recorded = [s + int(j) for b, s in zip(batches, starts) for j in b.record_indices]
+    if recorded:
+        # one (R, 2d + 2) block per recorded path, in sample order
+        blocks = (
+            np.column_stack([b.times, b.states[j], b.weighted_states[j], b.ess_series[j]])
+            for b in batches
+            for j in range(len(b.record_indices))
+        )
+        rows, d = len(recorded) * len(batches[0].times), summary.terminals.shape[1]
+        _write_container(os.path.join(out, "trajectories.bin"), rows, 2 * d + 2, blocks)
     ess = summary.ess_min
     finite = ess[np.isfinite(ess)]
     doc = {
@@ -246,7 +242,8 @@ def _write_outputs(out: str, summary: RunSummary, batches, starts):
         "ess_min_median": float(np.median(finite)) if finite.size else None,
         "low_ess_fraction": float((finite < 1.5).mean()) if finite.size else None,
         "terminals": "terminals.bin",
-        "trajectories": traj_files,
+        "trajectories": "trajectories.bin" if recorded else None,
+        "recorded": recorded,
     }
     _write_summary(out, summary.config, doc)
 

@@ -1,6 +1,10 @@
 """Built-in target energies, dataset IO, the run directory's file
 formats, and exact target-side oracles.
 
+The binary container (datasets, terminals.bin, trajectories.bin) is a
+24-byte header (magic, version, row count, width), then the rows as
+row-major little-endian float64.
+
 Energy convention: targets are specified by E with density proportional
 to exp(-E); any normalization constant is absorbed into E and cancels in
 the self-normalized weights. For the Gaussian mixture the convention is
@@ -14,7 +18,7 @@ immutable after construction and safe for concurrent evaluation.
 """
 
 import json
-import re
+import os
 import struct
 import sys
 from contextlib import nullcontext
@@ -29,7 +33,7 @@ from .kernels import _KERNEL_TILE, _row_tiles, _rows_matmul
 
 DATASET_MAGIC = b"HPID"
 DATASET_VERSION = 1
-_HEADER = struct.Struct("<4sIQQ")  # magic, version, count, dim
+_HEADER = struct.Struct("<4sIQQ")  # magic, version, count, width
 
 
 class Energy:
@@ -269,9 +273,37 @@ def save_dataset(path: str, samples) -> None:
     if str(path).lower().endswith(".csv"):
         _write_csv(path, "", ",".join(["%.18e"] * s.shape[1]), s)
         return
+    _write_container(path, s.shape[0], s.shape[1], [s])
+
+
+def _write_container(path: str, count: int, width: int, blocks) -> None:
+    """The container of count rows, written from (rows, width) blocks with no copy."""
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, s.shape[0], s.shape[1]))
-        f.write(np.ascontiguousarray(s, dtype="<f8").tobytes())
+        f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, count, width))
+        for block in blocks:
+            f.write(np.ascontiguousarray(block, dtype="<f8").data)
+
+
+def _read_container(path: str) -> np.ndarray:
+    """The (count, width) rows of a container as one array, values unchecked."""
+    with open(path, "rb") as f:
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise FormatError(f"{path}: truncated header, {len(head)} bytes at byte 0")
+        magic, version, count, dim = _HEADER.unpack(head)
+        if magic != DATASET_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
+        if version != DATASET_VERSION:
+            raise FormatError(f"{path}: unsupported version {version} at byte 4")
+        if count < 1 or dim < 1:
+            raise FormatError(f"{path}: invalid count={count} dim={dim} at byte 8")
+        found, expected = os.fstat(f.fileno()).st_size - _HEADER.size, count * dim * 8
+        if found != expected:
+            raise FormatError(
+                f"{path}: expected {expected} payload bytes at byte {_HEADER.size}, "
+                f"found {found}"
+            )
+        return np.fromfile(f, dtype="<f8", count=count * dim).reshape(count, dim)
 
 
 def _load_csv(path: str) -> np.ndarray:
@@ -303,55 +335,11 @@ def load_dataset(path: str) -> EmpiricalTarget:
     """Read a sample container written by save_dataset (binary or CSV)."""
     if str(path).lower().endswith(".csv"):
         return EmpiricalTarget(samples=_load_csv(path))
-    with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise FormatError(
-                f"{path}: truncated header, {len(head)} bytes at byte 0"
-            )
-        magic, version, count, dim = _HEADER.unpack(head)
-        if magic != DATASET_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
-        if version != DATASET_VERSION:
-            raise FormatError(f"{path}: unsupported version {version} at byte 4")
-        if count < 1 or dim < 1:
-            raise FormatError(
-                f"{path}: invalid count={count} dim={dim} at byte 8"
-            )
-        payload = f.read()
-        expected = count * dim * 8
-        if len(payload) != expected:
-            raise FormatError(
-                f"{path}: expected {expected} payload bytes at byte {_HEADER.size}, "
-                f"found {len(payload)}"
-            )
-    data = np.frombuffer(payload, dtype="<f8").reshape(count, dim)
-    return EmpiricalTarget(samples=np.array(data, dtype=float))
+    return EmpiricalTarget(samples=_read_container(path))
 
 
-# The text formats: _write_json writes every JSON file, _write_csv every
-# table, and recorded path i is _TRAJECTORY_FILE.format(i), one row per
-# recorded step, written by _write_trajectory_csv, read by _read_trajectory.
-_TRAJECTORY_FILE = "trajectory_{}.csv"
-_TRAJECTORY_INDEX = re.compile(re.escape(_TRAJECTORY_FILE).replace(r"\{\}", "([0-9]+)"))
+# The text formats: _write_json writes every JSON file, _write_csv every table.
 _CSV_BLOCK = 4096  # rows per %: one for every table a run writes
-
-
-def _write_trajectory_csv(path: str, times, states, weighted, ess) -> None:
-    d = states.shape[1]
-    header = ["t", *(f"x{j}" for j in range(d)), *(f"xhat{j}" for j in range(d)), "ess"]
-    table = np.column_stack([times, states, weighted, ess])
-    _write_csv(path, ",".join(header), ",".join(["%.17g"] * len(header)), table)
-
-
-def _read_trajectory(path: str, d: int):
-    """(t, x, xhat) of a trajectory file of dim d."""
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if table.shape[1] != 2 * d + 2:
-        raise FormatError(
-            f"{path}: expected {2 * d + 2} columns for dim {d}, got {table.shape[1]}"
-        )
-    return table[:, 0], table[:, 1 : d + 1], table[:, d + 1 : 2 * d + 1]
 
 
 def _finite_or_null(v):

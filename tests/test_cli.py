@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 import hpid.sampler as sampler_mod
 from hpid.cli import _threads, main
 from hpid.errors import IntegrationError
-from hpid.targets import load_dataset, save_dataset
+from hpid.targets import _read_container, _write_container, load_dataset, save_dataset
 
 GAUSS_INI = """\
 [target]
@@ -276,7 +276,7 @@ def test_sample_empirical_and_diagnose(tmp_path, capsys):
     assert "wrote 8 samples (dim 2)" in capsys.readouterr().out
     doc = json.loads((out / "summary.json").read_text())
     assert doc["subcommand"] == "sample-empirical"
-    assert len(doc["trajectories"]) == 8
+    assert doc["recorded"] == list(range(8))
     assert doc["z_estimate"] is None
 
     diag = tmp_path / "diag"
@@ -315,7 +315,7 @@ def _recorded_run(tmp_path, capsys):
     return out
 
 
-@pytest.mark.parametrize("name", ["terminals.bin", "trajectory_1.csv"])
+@pytest.mark.parametrize("name", ["terminals.bin", "trajectories.bin"])
 def test_diagnose_missing_listed_file_is_exit_2(tmp_path, capsys, name):
     out = _recorded_run(tmp_path, capsys)
     (out / name).unlink()
@@ -325,30 +325,84 @@ def test_diagnose_missing_listed_file_is_exit_2(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize(
-    "name", ["trajectory_3.csv", "trajectory_99.csv", "trajectory_-1.csv", "trajectory.csv"]
+    "bad", [3, 99, -1, 1.5, 1], ids=["3", "99", "-1", "1.5", "duplicate"]
 )
-def test_diagnose_rejects_unindexed_trajectory_names(tmp_path, capsys, name):
-    # the index in a listed name picks the terminal the file pairs with,
-    # so it must be a sample of the run (3 here)
+def test_diagnose_rejects_bad_recorded_indices(tmp_path, capsys, bad):
+    # a recorded index picks the terminal its rows pair with, so it must
+    # be a sample of the run (3 here), an integer, and listed once
     out = _recorded_run(tmp_path, capsys)
-    (out / name).write_bytes((out / "trajectory_0.csv").read_bytes())
     doc = json.loads((out / "summary.json").read_text())
-    doc["trajectories"].append(name)
+    doc["recorded"] = [0, 1, bad]
     (out / "summary.json").write_text(json.dumps(doc))
     assert main(["diagnose", "--run", str(out), "--bootstrap", "0"]) == 2
     err = capsys.readouterr().err
-    assert name in err and "0 <= i < 3" in err
+    assert "trajectories.bin" in err and "0 <= i < 3" in err
 
 
 def test_diagnose_rejects_differing_time_columns(tmp_path, capsys):
     out = _recorded_run(tmp_path, capsys)
-    path = out / "trajectory_2.csv"
-    lines = path.read_text().split("\n")
-    lines[2] = "0.5" + lines[2][lines[2].index(",") :]
-    path.write_text("\n".join(lines))
+    path = out / "trajectories.bin"
+    table = _read_container(str(path)).reshape(3, -1, 6)
+    table[2, 1, 0] = 0.5
+    _write_container(str(path), 3 * table.shape[1], 6, list(table))
     assert main(["diagnose", "--run", str(out), "--bootstrap", "0"]) == 2
     err = capsys.readouterr().err
-    assert "trajectory_2.csv" in err and "t column" in err
+    assert "trajectories.bin" in err and "t column of path 2" in err
+
+
+def test_diagnose_names_the_old_csv_format(tmp_path, capsys):
+    # a run written before trajectories.bin listed one CSV per path
+    out = _recorded_run(tmp_path, capsys)
+    doc = json.loads((out / "summary.json").read_text())
+    del doc["recorded"]
+    doc["trajectories"] = [f"trajectory_{i}.csv" for i in range(3)]
+    (out / "summary.json").write_text(json.dumps(doc))
+    assert main(["diagnose", "--run", str(out), "--bootstrap", "0"]) == 2
+    err = capsys.readouterr().err
+    assert str(out / "summary.json") in err and "old format" in err
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _widen(path):
+    table = _read_container(str(path))
+    save_dataset(str(path), np.hstack([table, table[:, :1]]))
+
+
+def _uneven(path):
+    save_dataset(str(path), _read_container(str(path))[:-1])
+
+
+@pytest.mark.parametrize(
+    "damage, words",
+    [
+        (_truncate, "payload bytes"),
+        (_widen, "expected 6 columns for dim 2, got 7"),
+        (_uneven, "29 rows do not split into 3"),
+    ],
+    ids=["truncated", "wide", "uneven"],
+)
+def test_diagnose_rejects_a_damaged_trajectories_bin(tmp_path, capsys, damage, words):
+    out = _recorded_run(tmp_path, capsys)
+    damage(out / "trajectories.bin")
+    assert main(["diagnose", "--run", str(out), "--bootstrap", "0"]) == 2
+    err = capsys.readouterr().err
+    assert str(out / "trajectories.bin") in err and words in err
+
+
+def test_unwritable_out_is_exit_2(tmp_path, capsys):
+    # an output directory under a regular file cannot be made: an input
+    # error, not a numerical one
+    rows = str(tmp_path / "rows.csv")
+    save_dataset(rows, np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["sample-empirical", "--data", rows, "--beta", "1.0", "--steps", "4"]
+    argv += ["--samples", "2", "--seed", "0", "--out", str(blocker / "run")]
+    assert main(argv + ["--threads", "1"]) == 2
+    assert "Not a directory" in capsys.readouterr().err
 
 
 def test_sample_empirical_missing_data(tmp_path, capsys):

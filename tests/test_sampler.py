@@ -21,6 +21,8 @@ from hpid.sde import SdeConfig, integrate_batch
 from hpid.targets import (
     DoubleWellEnergy,
     GaussianEnergy,
+    _read_container,
+    _write_container,
     grid_mixture,
     load_dataset,
     mixture_partition_oracle,
@@ -240,6 +242,13 @@ def test_quadrature_oracle_mode():
     assert s.z_estimate > 0
 
 
+def _read_records(out, n_paths, d):
+    """trajectories.bin of a run directory as (n_paths, R, 2d + 2)."""
+    table = _read_container(str(out / "trajectories.bin"))
+    assert table.shape[1] == 2 * d + 2
+    return table.reshape(n_paths, -1, 2 * d + 2)
+
+
 def test_output_directory_contents(tmp_path):
     out = tmp_path / "run"
     s = run(_dataset_cfg(out_dir=str(out), n_record=2))
@@ -250,32 +259,26 @@ def test_output_directory_contents(tmp_path):
     assert doc["config_sha256"] == s.config_hash
     assert doc["config"]["sde"]["seed"] == 3
     assert doc["terminals"] == "terminals.bin"
-    assert doc["trajectories"] == ["trajectory_0.csv", "trajectory_1.csv"]
+    assert doc["trajectories"] == "trajectories.bin"
+    assert doc["recorded"] == [0, 1]
     assert 0.0 <= doc["low_ess_fraction"] <= 1.0
     back = load_dataset(str(out / "terminals.bin"))
     assert np.array_equal(back.samples, s.terminals)
-    rows = np.genfromtxt(out / "trajectory_0.csv", delimiter=",", names=True)
-    assert rows.dtype.names == ("t", "x0", "x1", "xhat0", "xhat1", "ess")
-    assert np.all(np.diff(rows["t"]) > 0)
-    assert np.isfinite(rows["xhat0"]).all()
-    assert np.all(rows["ess"] >= 1.0)
+    # columns t, x0, x1, xhat0, xhat1, ess
+    records = _read_records(out, 2, 2)
+    assert records.shape == (2, 16, 6)
+    assert np.all(np.diff(records[:, :, 0], axis=1) > 0)
+    assert np.isfinite(records[:, :, 3:5]).all()
+    assert np.all(records[:, :, 5] >= 1.0)
 
 
-def _per_value_csv(times, states, weighted, ess):
-    # reference: one f"{v:.17g}" per value, the format of every trajectory file
-    d = states.shape[1]
-    header = ["t"] + [f"x{j}" for j in range(d)] + [f"xhat{j}" for j in range(d)]
-    lines = [",".join(header + ["ess"])]
-    for r in range(times.shape[0]):
-        row = [f"{times[r]:.17g}"]
-        row += [f"{v:.17g}" for v in states[r]]
-        row += [f"{v:.17g}" for v in weighted[r]]
-        row.append(f"{ess[r]:.17g}")
-        lines.append(",".join(row))
-    return ("\n".join(lines) + "\n").encode()
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
-def test_trajectory_csvs_are_byte_identical_to_per_value_format(tmp_path, monkeypatch):
+def test_trajectory_records_are_bitwise_equal_to_the_recorded_arrays(
+    tmp_path, monkeypatch
+):
     # chunks of 2 trajectories put recorded row 2 in the second chunk
     monkeypatch.setattr(sampler_mod, "_CHUNK_ELEMENTS", 2 * sampler_mod._COL_TILE)
     monkeypatch.setattr(sampler_mod, "_ROW_TILE", 1)
@@ -290,19 +293,36 @@ def test_trajectory_csvs_are_byte_identical_to_per_value_format(tmp_path, monkey
         params=params,
         record="all",
     )
+    records = _read_records(tmp_path / "run", 3, 2)
     for j in range(3):
-        got = (tmp_path / "run" / f"trajectory_{j}.csv").read_bytes()
-        want = _per_value_csv(
-            ref.times, ref.states[j], ref.weighted_states[j], ref.ess_series[j]
-        )
-        assert got == want, j
-    # a control without a weighted state leaves NaN rows
+        assert np.array_equal(_bits(records[j, :, 0]), _bits(ref.times)), j
+        assert np.array_equal(_bits(records[j, :, 1:3]), _bits(ref.states[j])), j
+        assert np.array_equal(_bits(records[j, :, 3:5]), _bits(ref.weighted_states[j])), j
+        assert np.array_equal(_bits(records[j, :, 5]), _bits(ref.ess_series[j])), j
+    # a control without a weighted state leaves NaN rows; the bytes are the
+    # header, then the float64 values as they are held in memory
     blank = np.full_like(ref.states[0], np.nan)
-    path = str(tmp_path / "nan.csv")
-    arrays = (ref.times, ref.states[0], blank, ref.ess_series[0])
-    sampler_mod._write_trajectory_csv(path, *arrays)
-    want = _per_value_csv(*arrays)
-    assert open(path, "rb").read() == want
+    block = np.column_stack([ref.times, ref.states[0], blank, ref.ess_series[0]])
+    path = str(tmp_path / "nan.bin")
+    _write_container(path, len(block), 6, [block])
+    raw = open(path, "rb").read()
+    assert raw[24:] == block.astype("<f8").tobytes()
+    assert np.array_equal(_bits(_read_container(path)), _bits(block))
+
+
+def test_trajectories_bin_does_not_depend_on_threads_or_chunks(tmp_path, monkeypatch):
+    cfg = _dataset_cfg(n_record=20)
+    files = []
+    for name, threads, chunk in (("one", 1, None), ("three", 3, None), ("small", 1, 3)):
+        with monkeypatch.context() as m:
+            if chunk is not None:
+                m.setattr(sampler_mod, "_CHUNK_ELEMENTS", chunk * sampler_mod._COL_TILE)
+                m.setattr(sampler_mod, "_ROW_TILE", 1)
+            out = tmp_path / name
+            run(dataclasses.replace(cfg, out_dir=str(out), threads=threads))
+        assert json.loads((out / "summary.json").read_text())["recorded"] == list(range(20))
+        files.append((out / "trajectories.bin").read_bytes())
+    assert files[0] == files[1] == files[2]
 
 
 def test_energy_output_manifest(tmp_path):
@@ -312,7 +332,9 @@ def test_energy_output_manifest(tmp_path):
     assert doc["z_estimate"] == s.z_estimate
     assert doc["min_ess"] == pytest.approx(s.min_ess)
     assert doc["ess_min_median"] >= 1.0
-    assert doc["trajectories"] == []
+    assert doc["trajectories"] is None
+    assert doc["recorded"] == []
+    assert not (out / "trajectories.bin").exists()
 
 
 def test_one_sample_manifest_is_strict_json(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,25 @@ def test_dataset_error_messages_name_location(tmp_path):
     bad.write_bytes(raw[:10])
     with pytest.raises(FormatError, match="byte 0"):
         load_dataset(str(bad))
+
+
+def test_dataset_container_makes_no_copy_of_its_payload(tmp_path):
+    # 20 MB of rows: saving allocates next to nothing beyond the input, and
+    # loading holds one array of the payload (plus the finiteness mask)
+    samples = np.random.default_rng(0).normal(size=(100_000, 25))
+    path = str(tmp_path / "big.bin")
+    tracemalloc.start()
+    try:
+        save_dataset(path, samples)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = load_dataset(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert save_peak < 1e6
+    assert load_peak < 1.25 * samples.nbytes
+    assert np.array_equal(back.samples, samples)
 
 
 def test_csv_error_messages_name_row(tmp_path):
