@@ -324,11 +324,11 @@ def log_kernel_ratio(params: Potential, t: float, x, y):
     y-independent part is -A_minus |x|^2 / 2 plus a normalizer ratio.
 
     x of shape (..., 1, d) against one (N, d) row set y is the (..., N)
-    block of a dataset or a shared panel: its cross term B_minus x . y is
-    one GEMM per 16-row tile (`_rows_matmul`), the y-only term is computed
-    once and subtracted in place, and the x-only term is added as one
-    column. Each row's bits then depend on its own x and on y alone. Other
-    shapes broadcast elementwise.
+    block of a dataset or a shared panel, whole, as one GEMM per 16-row
+    tile (`_rows_matmul`) of augmented operands: [B_minus x, 1, x-only
+    term] (..., d + 2) against [y^T; -h |y|^2 / 2; 1] (d + 2, N), the
+    latter built once per call in C order. Each row's bits then depend on
+    its own x and on y alone. Other shapes broadcast elementwise.
     """
     _validate_t(t, 0.0, 1.0, True, False)
     x = params.to_eigenbasis(_as_points(params, "x", x))
@@ -337,10 +337,16 @@ def log_kernel_ratio(params: Potential, t: float, x, y):
     _, _, lc1 = _abc(params.eigvals, 1.0)
     h = _h_probe(params.eigvals, t)  # equals am - a1, computed stably
     if x.ndim >= 2 and x.shape[-2] == 1 and y.ndim == 2:
-        out = _rows_matmul(bm * x[..., 0, :], y.T)
-        out -= 0.5 * _wsum(h, (y, y))
-        out += -0.5 * _wsum(am, (x, x)) + _axes_sum(lc1 - lcm, params.dim)
-        return out
+        d = params.dim
+        left = np.empty(x.shape[:-2] + (d + 2,))
+        left[..., :d] = bm * x[..., 0, :]
+        left[..., d] = 1.0
+        left[..., d + 1] = -0.5 * _wsum(am, (x, x))[..., 0] + _axes_sum(lc1 - lcm, d)
+        right = np.empty((d + 2, y.shape[0]))
+        right[:d] = y.T
+        right[d] = -0.5 * _wsum(h, (y, y))
+        right[d + 1] = 1.0
+        return _rows_matmul(left, right)
     out = (
         -0.5 * _wsum(am, (x, x))
         - 0.5 * _wsum(h, (y, y))

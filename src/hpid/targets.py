@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .control import EmpiricalTarget
-from .errors import AccuracyError, FormatError, InputError
+from .errors import FormatError, InputError
 from .kernels import _KERNEL_TILE, _row_tiles, _rows_matmul
 
 DATASET_MAGIC = b"HPID"
@@ -209,46 +209,9 @@ def grid_mixture(
     )
 
 
-def mixture_partition_oracle(m: GaussianMixtureEnergy, verify: bool = False) -> float:
-    """Analytic Z = (sum w) (2 pi sigma2)^(d/2) for the mixture convention.
-
-    verify=True cross-checks against adaptive quadrature (d <= 2) to 1e-8
-    relative before the value is used as a reference.
-    """
-    z = float(m.weights.sum() * (2.0 * np.pi * m.sigma2) ** (m.dim / 2.0))
-    if not verify:
-        return z
-    if m.dim > 2:
-        raise InputError("quadrature verification supports dim 1 or 2")
-    from scipy import integrate as sint
-
-    pad = 14.0 * np.sqrt(m.sigma2)
-    lo = float(m.centers.min()) - pad
-    hi = float(m.centers.max()) + pad
-    if m.dim == 1:
-        zq, _ = sint.quad(
-            lambda a: np.exp(-m.value(np.array([a]))),
-            lo,
-            hi,
-            epsabs=1e-12,
-            epsrel=1e-10,
-            limit=400,
-        )
-    else:
-        zq, _ = sint.dblquad(
-            lambda b, a: np.exp(-m.value(np.array([a, b]))),
-            lo,
-            hi,
-            lo,
-            hi,
-            epsabs=1e-12,
-            epsrel=1e-10,
-        )
-    if abs(zq - z) > 1e-8 * abs(z):
-        raise AccuracyError(
-            f"analytic partition {z!r} disagrees with quadrature {zq!r}"
-        )
-    return z
+def mixture_partition_oracle(m: GaussianMixtureEnergy) -> float:
+    """Analytic Z = (sum w) (2 pi sigma2)^(d/2) for the mixture convention."""
+    return float(m.weights.sum() * (2.0 * np.pi * m.sigma2) ** (m.dim / 2.0))
 
 
 def assign_modes(m: GaussianMixtureEnergy, samples) -> np.ndarray:

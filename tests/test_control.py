@@ -226,20 +226,25 @@ def _unflushed_weighted_state(log_w, ys):
     return e, _rows_matmul(e, ys) / total[:, None], ess, 1.0 / total
 
 
-_FLUSH_GAPS = np.array([0.0, -1.0, -700.0, -708.3, -708.5, -720.0, -740.0, -745.0])
+_FLUSH_GAPS = np.array(
+    [0.0, -1.0, -354.1, -354.3, -700.0, -708.3, -708.5, -720.0, -740.0, -745.0]
+)
+_FLOOR = np.log(np.finfo(float).tiny) / 2  # about -354.2
 
 
 def test_subnormal_weights_are_flushed_to_zero():
-    tiny_gap = np.log(np.finfo(float).tiny)
+    # below the floor a weight's square would be subnormal: it is flushed
     e = _flushed_exp(_FLUSH_GAPS.copy())
-    assert np.all(e[_FLUSH_GAPS < tiny_gap] == 0.0)
-    assert np.all(e[_FLUSH_GAPS >= tiny_gap] > 0.0)
+    assert np.all(e[_FLUSH_GAPS >= -354.1] > 0.0)
+    assert np.all(e[_FLUSH_GAPS <= -354.3] == 0.0)
+    assert np.array_equal(e > 0.0, _FLUSH_GAPS >= _FLOOR)
+    assert np.array_equal(e[e > 0.0], np.exp(_FLUSH_GAPS[e > 0.0]))
 
 
 def test_contraction_sees_no_subnormal_weight(monkeypatch):
-    # a gap of -708.3 keeps its weight, exp(-708.3) = 2.45e-308 >= tiny; in
-    # this row (sum 1.37) dividing by the sum before the contraction would
-    # make it 1.79e-308, a subnormal that puts the GEMM on its slow path
+    # a gap of -354.1 keeps its weight, exp(-354.1) = 1.6e-154, whose square
+    # 2.6e-308 is still normal; -354.3 or -708.3 would give a subnormal
+    # square in the ESS, and a product near tiny in the GEMM
     operands = []
     inner = hpid.control._rows_matmul
 
@@ -251,13 +256,14 @@ def test_contraction_sees_no_subnormal_weight(monkeypatch):
     ys = np.random.default_rng(5).normal(size=(len(_FLUSH_GAPS), 2))
     _weighted_state([(_FLUSH_GAPS[None, :] + 3.0, ys)])
     (w,) = operands
-    assert not np.any((w > 0.0) & (w < np.finfo(float).tiny))
-    assert np.any(w == np.exp(-708.3))
+    assert not np.any((w > 0.0) & (w * w < np.finfo(float).tiny))
+    assert np.any(w == np.exp(-354.1))
 
 
 def test_flush_changes_no_diagnostic_bit():
-    # gaps from -800 to 0 cross the subnormal band densely; ESS, the max
-    # weight and x̂ must equal, bit for bit, those of exponentiating all
+    # gaps from -800 to 0 cross the floor and the subnormal band densely;
+    # ESS, the max weight and x̂ must equal, bit for bit, those of
+    # exponentiating all
     rng = np.random.default_rng(6)
     n = 4001
     span = np.linspace(-800.0, 0.0, n)
@@ -266,8 +272,8 @@ def test_flush_changes_no_diagnostic_bit():
     ys = rng.normal(size=(n, 3))
     e_ref, xhat_ref, ess_ref, max_ref = _unflushed_weighted_state(log_w, ys)
     e = _flushed_exp(log_w - log_w.max(axis=-1, keepdims=True))
-    flushed = log_w - log_w.max(axis=-1, keepdims=True) < np.log(np.finfo(float).tiny)
-    assert np.any(e_ref[flushed] > 0.0)  # the reference keeps subnormals
+    flushed = log_w - log_w.max(axis=-1, keepdims=True) < _FLOOR
+    assert np.any(e_ref[flushed] > 0.0)  # the reference keeps them
     assert np.array_equal(e, np.where(flushed, 0.0, e_ref))
     xhat, ess, max_w = _weighted_state([(log_w.copy(), ys)])
     assert np.array_equal(xhat, xhat_ref)

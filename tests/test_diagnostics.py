@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -83,6 +84,84 @@ def test_bootstrap_is_deterministic_and_positive_here():
     # resample keeps the gap positive
     assert a["p5"] > 0.3
     assert a["p5"] <= a["p50"] <= a["p95"]
+
+
+def _looped_crossing(times, values, threshold):
+    """The first crossing of one curve, scanned point by point."""
+    if values[0] >= threshold:
+        return float(times[0])
+    for i in range(1, len(values)):
+        if values[i] >= threshold:
+            t0, t1, v0, v1 = times[i - 1], times[i], values[i - 1], values[i]
+            if v1 == v0:
+                return float(t1)
+            return float(t0 + (threshold - v0) * (t1 - t0) / (v1 - v0))
+    return math.nan
+
+
+def _looped_bootstrap(s, threshold, n_resamples, seed):
+    """p5, p50 and p95 of the gap, one rng call and two scans per resample."""
+    b = s.per_state.shape[0]
+    rng = np.random.default_rng(seed)
+    gaps = np.empty(n_resamples)
+    for r in range(n_resamples):
+        idx = rng.integers(0, b, b)
+        gaps[r] = _looped_crossing(
+            s.times, s.per_state[idx].mean(axis=0), threshold
+        ) - _looped_crossing(s.times, s.per_weighted[idx].mean(axis=0), threshold)
+    return [float(np.percentile(gaps, q)) for q in (5, 50, 95)]
+
+
+def _random_series(rng, b, r, never=False):
+    """b random rising overlap curves of r points that end at 1, rounded to
+    tenths so that they have plateaus and points on the threshold; with
+    never, every state curve stays below 0.5."""
+    curves = np.sort(np.round(rng.uniform(-0.3, 1.3, (2, b, r)), 1), axis=-1)
+    curves[..., -1] = 1.0
+    if never:
+        curves[0] = np.minimum(curves[0], 0.4)
+    states, weighted = curves[..., None]  # terminal 1: the overlap is the curve
+    return autocorrelation(np.linspace(0.0, 1.0, r), states, weighted, np.ones((b, 1)))
+
+
+def test_crossing_times_match_a_point_by_point_scan():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        s = _random_series(rng, int(rng.integers(1, 12)), int(rng.integers(1, 40)))
+        for threshold in (0.5, 0.3):
+            for which, rows in (("state", s.per_state), ("weighted", s.per_weighted)):
+                want = [_looped_crossing(s.times, row, threshold) for row in rows]
+                got = transition_times_per(s, threshold, which)
+                assert np.array_equal(got, want, equal_nan=True)
+            want = _looped_crossing(s.times, s.corr_weighted, threshold)
+            assert np.array_equal(transition_time(s, threshold), want, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "b, r, n_resamples, block, never",
+    [
+        (1, 9, 37, None, False),  # b = 1: every resample is the one curve
+        (7, 12, 1000, None, False),  # one block
+        (7, 12, 101, 64, False),  # a block per resample
+        (13, 10, 250, 1000, False),  # blocks of 7, the last one of 5
+        (5, 8, 40, 100, True),  # the state never crosses: NaN gaps
+    ],
+)
+def test_blocked_bootstrap_equals_one_resample_at_a_time(
+    monkeypatch, b, r, n_resamples, block, never
+):
+    if block is not None:
+        monkeypatch.setattr("hpid.diagnostics._BOOTSTRAP_BLOCK", block)
+    s = _random_series(np.random.default_rng(b * r), b, r, never)
+    got = bootstrap_transition_gap(s, n_resamples=n_resamples, seed=5)
+    want = _looped_bootstrap(s, 0.5, n_resamples, 5)
+    assert np.array_equal([got[k] for k in ("p5", "p50", "p95")], want, equal_nan=True)
+    observed = _looped_crossing(s.times, s.corr_state, 0.5) - _looped_crossing(
+        s.times, s.corr_weighted, 0.5
+    )
+    assert np.array_equal(got["gap"], observed, equal_nan=True)
+    assert got["n_resamples"] == n_resamples
+    assert np.isnan(got["p50"]) == never
 
 
 def test_input_validation():

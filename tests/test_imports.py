@@ -12,7 +12,9 @@ one unseen. And it fails on a module-level private function, class or
 constant of src/hpid that no file of src/hpid reads, so that a helper or
 a setting is not kept alive by the tests alone. Last, it fails on any use
 of json.dump or np.savetxt outside src/hpid/targets.py: every JSON file
-and table the package writes has its format there, once.
+and table the package writes has its format there, once. And it fails on
+a call in src/hpid that passes where= to a ufunc: a masked ufunc leaves
+numpy's vector loop, so a mask is applied by a multiply or a select.
 """
 
 import ast
@@ -219,3 +221,29 @@ def test_only_the_format_module_writes_json_and_tables():
         for line, name in _format_writes(ast.parse(path.read_text(), str(path)))
     ]
     assert not writes, f"written outside {FORMATS}:\n" + "\n".join(writes)
+
+
+def _masked_calls(tree):
+    """(line, callee) of each call in tree that passes where= by keyword."""
+    return sorted(
+        (node.lineno, ast.unparse(node.func))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and any(k.arg == "where" for k in node.keywords)
+    )
+
+
+def test_scan_flags_a_masked_ufunc():
+    tree = ast.parse(
+        "np.exp(a, out=a, where=m)\nnp.where(m, a, 0.0)\n"
+        "a.sum(where=m)\nnp.maximum(a, 0.0, out=a)\n"
+    )
+    assert _masked_calls(tree) == [(1, "np.exp"), (3, "a.sum")]
+
+
+def test_package_passes_no_where_to_a_ufunc():
+    masked = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src/hpid").rglob("*.py"))
+        for line, name in _masked_calls(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not masked, "where= passed in src/hpid:\n" + "\n".join(masked)
