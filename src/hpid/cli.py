@@ -39,7 +39,7 @@ from .config import (
     load_config_file,
     resolve,
 )
-from .control import QuadratureControlEvaluator, UhisConfig, UhisControlEvaluator
+from .control import LOW_ESS, QuadratureControlEvaluator, UhisConfig, UhisControlEvaluator
 from .diagnostics import (
     autocorrelation,
     bootstrap_transition_gap,
@@ -335,7 +335,7 @@ def _cmd_oracle_check(args) -> int:
     print(f"max absolute error on small controls: {np.max(table[small, 4], initial=0.0):.4g}")
     print(f"min ESS: {min(float(o.ess) for o in outs):.4g}")
     # a row whose weight sits on one probe draw is not an estimate
-    print(f"rows with ESS < 1.5: {sum(bool(o.low_ess) for o in outs)} of {len(rows)}")
+    print(f"rows with ESS < {LOW_ESS}: {sum(bool(o.low_ess) for o in outs)} of {len(rows)}")
     return 0
 
 

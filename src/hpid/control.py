@@ -94,6 +94,9 @@ class EmpiricalTarget:
         return int(self.samples.shape[1])
 
 
+LOW_ESS = 1.5  # an evaluation with a smaller ESS rests on about one draw or row
+
+
 @dataclass(frozen=True)
 class ControlOutput:
     """One drift evaluation plus its importance-sampling diagnostics.
@@ -111,7 +114,7 @@ class ControlOutput:
 
     @property
     def low_ess(self):
-        return self.ess < 1.5
+        return self.ess < LOW_ESS
 
 
 _LOG_FLOOR = float(np.log(np.finfo(float).tiny)) / 2  # about -354.2

@@ -15,9 +15,10 @@ is the isotropic case: its basis is the identity and its per-axis
 coefficients are 0-d, which keeps the isotropic expressions (and their
 bits) exactly. `MatrixBeta` carries the spectral form of a general B; all
 matrix functions (sqrt, sinh, ctnh, log det) are computed spectrally,
-never by series. An axis with eigenvalue below 1e-12 takes a distinct
-exact heat-kernel path rather than a limit of the hyperbolic
-expressions, which would divide 0 by 0.
+never by series. Every coefficient is one formula in z = tau sqrt(lambda),
+written through log(sinh z / z) and z ctnh z, which are finite at z = 0:
+a flat axis (lambda = 0) is the free heat kernel as the exact z -> 0
+value of the same expressions, not a separate path.
 
 All values are computed and consumed in log domain; exponentiation only
 happens inside downstream log-sum-exp reductions. Quadratic forms reach
@@ -32,11 +33,8 @@ import numpy as np
 
 from .errors import DomainError, InputError
 
-# below this, beta is treated as exactly zero
-BETA_ZERO_TOL = 1e-12
-
-_LOG_2 = float(np.log(2.0))
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_TINY = float(np.finfo(float).tiny)
 
 _ROW_TILE = 16  # rows per GEMM in _rows_matmul
 # rows per tile of the (B, N) weight kernels; a multiple of _ROW_TILE, so a
@@ -44,7 +42,6 @@ _ROW_TILE = 16  # rows per GEMM in _rows_matmul
 _KERNEL_TILE = 4 * _ROW_TILE
 _COL_TILE = 4096  # rows of a fixed row set per column tile of those kernels
 
-_EIG_CLAMP = 1e-12  # eigenvalues above -this are clamped to zero
 _EIG_REJECT = -1e-8  # eigenvalues below this reject the matrix
 _SYM_TOL = 1e-10
 
@@ -136,9 +133,9 @@ Potential = ScalarBeta | MatrixBeta
 def decompose(beta_matrix) -> MatrixBeta:
     """Spectral decomposition of a symmetric PSD matrix.
 
-    Rejects asymmetric input and any eigenvalue below -1e-8; eigenvalues in
-    (-1e-12, 0) are clamped to zero so that numerically flat axes use the
-    exact heat-kernel path.
+    Rejects asymmetric input and any eigenvalue below -1e-8 (relative to
+    the largest entry, if that exceeds 1); negative rounding noise above it
+    is clamped to zero. Small positive eigenvalues are kept as they are.
     """
     m = np.asarray(beta_matrix, dtype=float)
     if m.ndim == 0:
@@ -157,14 +154,24 @@ def decompose(beta_matrix) -> MatrixBeta:
             f"potential matrix has negative eigenvalue {vals.min():.3e}; "
             "it must be positive semi-definite"
         )
-    vals = np.where(vals < _EIG_CLAMP, 0.0, vals)
+    vals = np.maximum(vals, 0.0)
     return MatrixBeta(eigvals=vals, eigvecs=vecs)
 
 
-def _log_sinh(a):
-    """log(sinh(a)) for a > 0 without overflow: a + log(1 - e^(-2a)) - log 2."""
-    a = np.asarray(a, dtype=float)
-    return a + np.log(-np.expm1(-2.0 * a)) - _LOG_2
+def _log_sinhc(z):
+    """log(sinh(z) / z) = z + log((1 - e^(-2z)) / (2z)) for z >= 0, without
+    overflow. The ratio is exactly 1 below the smallest normal double, so
+    raising z to that is the one z = 0 guard, and the result is 0 there."""
+    z = np.asarray(z, dtype=float)
+    zt = np.maximum(z, _TINY)
+    return z + np.log(-np.expm1(-2.0 * zt) / (2.0 * zt))
+
+
+def _z_ctnh(z):
+    """z ctnh(z) elementwise for z >= 0, which is 1 at z = 0 (and, in
+    float64, below the smallest normal double: the one z = 0 guard)."""
+    zt = np.maximum(np.asarray(z, dtype=float), _TINY)
+    return zt / np.tanh(zt)
 
 
 def _abc(beta, tau):
@@ -172,23 +179,13 @@ def _abc(beta, tau):
 
     Returns (A, B, logC) with A = sqrt(beta) ctnh(tau sqrt(beta)),
     B = sqrt(beta)/sinh(tau sqrt(beta)), and per-dimension normalizer
-    logC = log(2 pi sinh(tau sqrt(beta))/sqrt(beta))/2. Entries with
-    beta < BETA_ZERO_TOL use the exact heat-kernel limit A = B = 1/tau,
-    logC = log(2 pi tau)/2.
+    logC = log(2 pi sinh(tau sqrt(beta))/sqrt(beta))/2, all written in
+    z = tau sqrt(beta). At beta = 0 they are the heat kernel's A = B =
+    1/tau, logC = log(2 pi tau)/2.
     """
-    beta = np.asarray(beta, dtype=float)
-    small = beta < BETA_ZERO_TOL
-    rb = np.sqrt(np.where(small, 1.0, beta))
-    arg = tau * rb
-    ls = _log_sinh(np.where(small, 1.0, arg))
-    a = np.where(small, 1.0 / tau, rb / np.tanh(arg))
-    b = np.where(small, 1.0 / tau, rb * np.exp(-ls))
-    log_c = np.where(
-        small,
-        0.5 * (_LOG_2PI + np.log(tau)),
-        0.5 * (_LOG_2PI + ls - np.log(rb)),
-    )
-    return a, b, log_c
+    z = tau * np.sqrt(np.asarray(beta, dtype=float))
+    ls = _log_sinhc(z)
+    return _z_ctnh(z) / tau, np.exp(-ls) / tau, 0.5 * (_LOG_2PI + np.log(tau) + ls)
 
 
 def _h_probe(beta, t):
@@ -197,21 +194,12 @@ def _h_probe(beta, t):
     Equal to sqrt(beta)(ctnh((1-t)sqrt(beta)) - ctnh(sqrt(beta))), but
     computed through the identity ctnh(a) - ctnh(b) =
     sinh(b-a)/(sinh(a) sinh(b)), which has no cancellation:
-    h = sqrt(beta) sinh(t sqrt(beta)) / (sinh((1-t)sqrt(beta)) sinh(sqrt(beta))).
-    The beta = 0 value is t/(1-t).
+    h = sqrt(beta) sinh(t sqrt(beta)) / (sinh((1-t)sqrt(beta)) sinh(sqrt(beta))),
+    that is t/(1-t) times a ratio of sinh(z)/z factors, 1 at beta = 0.
     """
-    beta = np.asarray(beta, dtype=float)
-    small = beta < BETA_ZERO_TOL
-    rb = np.sqrt(np.where(small, 1.0, beta))
-    if t == 0.0:
-        return np.where(small, 0.0, 0.0) + 0.0
-    log_h = (
-        np.log(rb)
-        + _log_sinh(np.where(small, 1.0, t * rb))
-        - _log_sinh(np.where(small, 1.0, (1.0 - t) * rb))
-        - _log_sinh(np.where(small, 1.0, rb))
-    )
-    return np.where(small, t / (1.0 - t), np.exp(log_h))
+    rb = np.sqrt(np.asarray(beta, dtype=float))
+    ls = _log_sinhc(t * rb) - _log_sinhc((1.0 - t) * rb) - _log_sinhc(rb)
+    return t / (1.0 - t) * np.exp(ls)
 
 
 def _validate_t(t, lo, hi, lo_closed, hi_closed):
@@ -360,13 +348,11 @@ def drift_prefactors(params: Potential, t: float):
     """(c1, c2) such that the optimal drift is c1 (xhat - c2 x) per eigen-axis.
 
     c1 = sqrt(lambda)/sinh((1-t)sqrt(lambda)), c2 = cosh((1-t)sqrt(lambda));
-    the lambda = 0 limit is (1/(1-t), 1). Note c1 c2 = A_minus. Floats for a
+    at lambda = 0 they are (1/(1-t), 1). Note c1 c2 = A_minus. Floats for a
     scalar beta, (d,) arrays in the eigenbasis for a matrix beta.
     """
     _validate_t(t, 0.0, 1.0, True, False)
     lam = np.asarray(params.eigvals, dtype=float)
-    small = lam < BETA_ZERO_TOL
     _, b, _ = _abc(lam, 1.0 - t)
-    c2 = np.where(small, 1.0, np.cosh((1.0 - t) * np.sqrt(np.where(small, 1.0, lam))))
-    return _ret(b), _ret(c2)
+    return _ret(b), _ret(np.cosh((1.0 - t) * np.sqrt(lam)))
 

@@ -15,6 +15,8 @@ consume a data-dependent count, which would break fixed-offset slicing.
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import InputError
+
 PURPOSE_INCREMENT = 0
 PURPOSE_PROBE = 1
 
@@ -27,7 +29,7 @@ _U_FLOOR = 2.0 ** -54
 def stream(seed: int, step: int, purpose: int) -> np.random.Generator:
     """Philox generator keyed by (seed, step, purpose)."""
     if purpose not in (PURPOSE_INCREMENT, PURPOSE_PROBE):
-        raise ValueError(f"unknown stream purpose {purpose}")
+        raise InputError(f"unknown stream purpose {purpose}")
     # mask in python ints so negative seeds wrap instead of overflowing
     key = np.array(
         [seed & _U64, ((step << 1) | purpose) & _U64],

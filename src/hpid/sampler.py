@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import (
+    LOW_ESS,
     EmpiricalControlEvaluator,
     EmpiricalTarget,
     QuadratureControlEvaluator,
@@ -240,7 +241,7 @@ def _write_outputs(out: str, summary: RunSummary, batches, starts):
         "z_stderr": summary.z_stderr,
         "min_ess": summary.min_ess,
         "ess_min_median": float(np.median(finite)) if finite.size else None,
-        "low_ess_fraction": float((finite < 1.5).mean()) if finite.size else None,
+        "low_ess_fraction": float((finite < LOW_ESS).mean()) if finite.size else None,
         "terminals": "terminals.bin",
         "trajectories": "trajectories.bin" if recorded else None,
         "recorded": recorded,

@@ -11,15 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProbeGaussianError, DomainError
-from .kernels import (
-    BETA_ZERO_TOL,
-    Potential,
-    _as_points,
-    _h_probe,
-    _log_sinh,
-    _ret,
-    _validate_t,
-)
+from .kernels import Potential, _as_points, _h_probe, _log_sinhc, _ret, _validate_t
 
 DEGENERATE_DENOM_TOL = 1e-12
 
@@ -63,13 +55,10 @@ class ProbeGaussian:
 
 
 def _probe_denominator(beta, t):
-    """sinh(t sqrt(beta)) / sinh(sqrt(beta)) elementwise; t in the limit."""
-    beta = np.asarray(beta, dtype=float)
-    small = beta < BETA_ZERO_TOL
-    rb = np.sqrt(np.where(small, 1.0, beta))
+    """sinh(t sqrt(beta)) / sinh(sqrt(beta)) elementwise, t at beta = 0."""
+    rb = np.sqrt(np.asarray(beta, dtype=float))
     # log-domain ratio: underflows cleanly to 0 instead of dividing infs
-    d = np.exp(_log_sinh(t * rb) - _log_sinh(rb))
-    return np.where(small, t, d)
+    return t * np.exp(_log_sinhc(t * rb) - _log_sinhc(rb))
 
 
 def universal_probe(params: Potential, t: float, x) -> ProbeGaussian:

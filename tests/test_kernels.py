@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 
 from hpid.errors import DomainError, InputError
 from hpid.kernels import (
-    BETA_ZERO_TOL,
+    MatrixBeta,
     ScalarBeta,
     _abc,
     _h_probe,
@@ -27,9 +27,10 @@ from hpid.kernels import (
     log_g_plus,
     log_kernel_ratio,
 )
+from hpid.stationary import _probe_denominator
 
 finite_floats = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
-betas = st.sampled_from([0.0, 1e-14, 0.3, 1.0, 2.0, 7.5, 100.0])
+betas = st.sampled_from([0.0, 1e-14, 1e-13, 1e-11, 0.3, 1.0, 2.0, 7.5, 100.0])
 times = st.floats(0.01, 0.99, allow_nan=False)
 
 
@@ -75,6 +76,43 @@ def test_drift_prefactors_frozen_values():
     c1, c2 = drift_prefactors(ScalarBeta(beta=2.7, dim=1), 0.62)
     assert_allclose(c1, 2.46804957871946286098, rtol=1e-14)
     assert_allclose(c2, 1.201356487627496626378, rtol=1e-14)
+
+
+def test_tiny_eigenvalue_frozen_values():
+    # at lambda = 1e-13 every coefficient is 1 + O(lambda) times its heat
+    # kernel value, and the O(lambda) part must survive
+    p = ScalarBeta(beta=1e-13, dim=1)
+    c1, c2 = drift_prefactors(p, 0.0)
+    assert_allclose(c1, 0.9999999999999833333333, rtol=1e-15)
+    assert_allclose(c2, 1.00000000000005, rtol=1e-15)
+    got = log_kernel_ratio(p, 0.0, 0.8, -0.6)
+    assert_allclose(got, -0.8000000000000027110756, rtol=1e-15)
+    c1, c2 = drift_prefactors(p, 0.5)
+    assert_allclose(c1, 1.999999999999991666667, rtol=1e-15)
+    assert_allclose(c2, 1.0000000000000125, rtol=1e-15)
+    got = log_kernel_ratio(p, 0.5, 0.8, -0.6)
+    assert_allclose(got, -1.43342640972001950412, rtol=1e-15)
+
+
+FLAT_TO_STIFF = (0.0, 1e-300, 1e-13, 0.5, 1e4)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 0.999])
+def test_coefficients_raise_no_floating_point_error(t):
+    # one formula for every eigenvalue: a flat, a vanishing or a stiff
+    # axis never divides 0 by 0 or takes log(0), alone or in one spectrum
+    lams = np.array(FLAT_TO_STIFF)
+    spectrum = MatrixBeta(eigvals=lams, eigvecs=np.eye(lams.size))
+    with np.errstate(divide="raise", invalid="raise"):
+        for lam in (*FLAT_TO_STIFF, lams):
+            for v in (*_abc(lam, 1.0 - t), _h_probe(lam, t), _probe_denominator(lam, t)):
+                assert np.all(np.isfinite(v))
+        for p in (*(ScalarBeta(beta=lam, dim=2) for lam in FLAT_TO_STIFF), spectrum):
+            assert np.all(np.isfinite(drift_prefactors(p, t)))
+            x = np.linspace(-1.0, 1.0, p.dim)
+            assert np.isfinite(log_kernel_ratio(p, t, x, -x))
+            rows = log_kernel_ratio(p, t, x[None, None, :], np.ones((3, p.dim)))
+            assert np.all(np.isfinite(rows))
 
 
 def test_beta_zero_is_heat_kernel():
@@ -136,8 +174,7 @@ def test_kernels_are_symmetric_in_x_y(beta, t, x, y):
 def test_coefficient_identity(beta, t):
     # A^2 - B^2 = beta for any horizon (coth^2 - csch^2 = 1)
     a, b, _ = _abc(beta, 1.0 - t)
-    want = beta if beta >= BETA_ZERO_TOL else 0.0
-    assert abs((a - b) * (a + b) - want) < 1e-9 * max(1.0, a * a)
+    assert abs((a - b) * (a + b) - beta) < 1e-9 * max(1.0, a * a)
 
 
 @given(beta=betas, t=times)
@@ -226,7 +263,7 @@ def test_delta_limit_onto_x():
 
 
 def test_continuity_across_beta_zero_branch():
-    # the series branch below BETA_ZERO_TOL must join the hyperbolic one
+    # tiny eigenvalues join the free heat kernel continuously, to O(beta)
     p_lo = ScalarBeta(beta=1e-13, dim=1)
     p_hi = ScalarBeta(beta=1e-11, dim=1)
     for t in (0.1, 0.5, 0.9):
@@ -391,8 +428,8 @@ def test_control_reduction_matches_scalar_prefactors():
 
 
 def test_mixed_spectrum_with_flat_axis():
-    # one zero eigenvalue rides the exact heat-kernel branch while the
-    # other axes use hyperbolics; the sum must still be finite
+    # one zero eigenvalue is the exact heat kernel next to a confined
+    # axis; the sum must still be finite
     p = decompose(np.diag([0.0, 2.0]))
     v = log_g_minus(p, 0.5, [1.0, -1.0], [0.0, 0.5])
     assert np.isfinite(v)

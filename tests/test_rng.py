@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from hpid.errors import HpidError
 from hpid.rng import (
     PURPOSE_INCREMENT,
     PURPOSE_PROBE,
@@ -28,6 +29,11 @@ def test_streams_separate_by_step_and_purpose():
 
 def test_unknown_purpose_rejected():
     with pytest.raises(ValueError):
+        stream(0, 0, 2)
+
+
+def test_unknown_purpose_is_a_package_error():
+    with pytest.raises(HpidError):
         stream(0, 0, 2)
 
 

@@ -11,13 +11,25 @@ from numpy.testing import assert_allclose
 
 from hpid.errors import DegenerateProbeGaussianError
 from hpid.kernels import ScalarBeta, _h_probe, decompose
-from hpid.stationary import universal_probe
+from hpid.stationary import _probe_denominator, universal_probe
 
 
 def test_probe_frozen_values():
     p = universal_probe(ScalarBeta(beta=1.0, dim=1), 0.5, np.array([1.0]))
     assert_allclose(p.mean, [2.255251930412761570452], rtol=1e-14)
     assert_allclose(p.precision, 0.8509181282393215451338, rtol=1e-14)
+
+
+def test_probe_tiny_eigenvalue_frozen_values():
+    # lambda = 1e-13: precision and mean denominator keep their O(lambda)
+    # part; both vanish at t = 0
+    assert_allclose(_h_probe(1e-13, 0.5), 0.9999999999999833333333, rtol=1e-15)
+    assert_allclose(_probe_denominator(1e-13, 0.5), 0.49999999999999375, rtol=1e-15)
+    assert _h_probe(1e-13, 0.0) == 0.0
+    assert _probe_denominator(1e-13, 0.0) == 0.0
+    p = universal_probe(ScalarBeta(beta=1e-13, dim=1), 0.5, np.array([0.5]))
+    assert_allclose(p.precision, 0.9999999999999833333333, rtol=1e-15)
+    assert_allclose(p.mean, [0.5 / 0.49999999999999375], rtol=1e-15)
 
 
 def test_probe_flat_potential_midpoint():

@@ -97,6 +97,17 @@ show("c2(beta=1, t=0)", mp.cosh(1))
 show("c1(beta=2.7, t=0.62)", b_minus(mp.mpf("2.7"), mp.mpf("0.62")))
 show("c2(beta=2.7, t=0.62)", mp.cosh((1 - mp.mpf("0.62")) * mp.sqrt(mp.mpf("2.7"))))
 
+print("# tiny eigenvalue: lambda = 1e-13 (the double), x = 0.8, y = -0.6 --")
+lam = mp.mpf(1e-13)
+for t in (mp.mpf(0), mp.mpf("0.5")):
+    show(f"c1(beta=1e-13, t={t})", b_minus(lam, t))
+    show(f"c2(beta=1e-13, t={t})", mp.cosh((1 - t) * mp.sqrt(lam)))
+    show(f"log_ratio(beta=1e-13, d=1, t={t}, x=0.8, y=-0.6)",
+         log_ratio(lam, t, [mp.mpf(0.8)], [mp.mpf(-0.6)]))
+    h, den = probe(lam, t)
+    show(f"probe precision(beta=1e-13, t={t})", mp.chop(h))
+    show(f"probe denominator(beta=1e-13, t={t})", mp.chop(den))
+
 print("# universal probe -----------------------------------------------")
 h, den = probe(1, mp.mpf("0.5"))
 show("probe mean(beta=1, t=0.5, x=1)", 1 / den)
