@@ -12,8 +12,9 @@ Exit codes: 0 success; 2 bad configuration, schema, or input file (a
 trajectories.bin its summary.json does not describe, an unwritable --out);
 3 numerical failure (diverged trajectory, accuracy contract missed).
 A sampling run's summary.json, complete or aborted, echoes its resolved
-manifest (subcommand, cli_config, cli_config_sha256); passed back to
-sample-energy --config, it reruns the run.
+manifest (subcommand, cli_config); passed back to sample-energy --config,
+it reruns the run. The printed config sha256 is the run's config_sha256,
+which does not depend on the output directory.
 
 Worker threads come from --threads, else the HPID_THREADS environment
 variable, else the number of CPUs the process may run on (its affinity
@@ -60,11 +61,11 @@ from .errors import (
 )
 from .kernels import ScalarBeta
 from .rng import normals_from
-from .sampler import _ABORTING, config_sha, estimate_z_convergence, run
+from .sampler import _ABORTING, estimate_z_convergence, run
 from .targets import (
     DoubleWellEnergy,
     GaussianMixtureEnergy,
-    _read_container,
+    _read_trajectories,
     _write_csv,
     _write_json,
     load_dataset,
@@ -105,12 +106,11 @@ def _list(text: str, flag: str, kind) -> list:
 
 
 def _inject_echo(out_dir: str, subcommand: str, resolved: dict) -> None:
-    """Add the resolved manifest and its hash to the run's summary.json."""
+    """Add the subcommand and the resolved manifest to the run's summary.json."""
     path = os.path.join(out_dir, "summary.json")
     with open(path) as f:
         doc = json.load(f)
-    echo = {"subcommand": subcommand, _ECHO: resolved, "cli_config_sha256": config_sha(resolved)}
-    _write_json(path, {**doc, **echo})
+    _write_json(path, {**doc, "subcommand": subcommand, _ECHO: resolved})
 
 
 def _run_manifest(subcommand: str, resolved: dict, threads: int) -> int:
@@ -132,7 +132,7 @@ def _run_manifest(subcommand: str, resolved: dict, threads: int) -> int:
         print(f"Z estimate: {summary.z_estimate:.6g} +- {summary.z_stderr:.3g}")
     if math.isfinite(summary.min_ess):
         print(f"min ESS: {summary.min_ess:.3g}")
-    print(f"config sha256: {config_sha(resolved)}")
+    print(f"config sha256: {summary.config_hash}")
     return 0
 
 
@@ -232,30 +232,18 @@ def _load_trajectories(run_dir: str, doc: dict, terminals: np.ndarray):
             "write trajectories.bin"
         )
     path = _listed_file(run_dir, name)
-    table = _read_container(path)
-    n, d = terminals.shape
-    w = 2 * d + 2
-    if table.shape[1] != w:
-        raise FormatError(f"{path}: expected {w} columns for dim {d}, got {table.shape[1]}")
+    n = terminals.shape[0]
     # each recorded index pairs a block of rows with its terminal
     rows, seen = doc.get("recorded"), set()
-    for i in rows if isinstance(rows, list) and rows else [rows]:
-        if type(i) is not int or not 0 <= i < n or i in seen:
+    listed = isinstance(rows, list) and rows
+    for i in rows if listed else [rows]:
+        if not listed or type(i) is not int or not 0 <= i < n or i in seen:
             raise FormatError(
                 f"{path}: recorded entry {i!r} is not a distinct sample index 0 <= i < {n}"
             )
         seen.add(i)
-    if table.shape[0] % len(rows):
-        raise FormatError(f"{path}: {table.shape[0]} rows do not split into {len(rows)} paths")
-    table = table.reshape(len(rows), -1, w)
-    t = table[:, :, 0]
-    bad = np.flatnonzero((t != t[0]).any(axis=1))
-    if bad.size:
-        raise FormatError(f"{path}: t column of path {rows[bad[0]]} differs from path {rows[0]}'s")
-    # contiguous copies, laid out as the in-memory record
-    states = np.ascontiguousarray(table[:, :, 1 : d + 1])
-    weighted = np.ascontiguousarray(table[:, :, d + 1 : w - 1])
-    return t[0], states, weighted, terminals[rows]
+    t, states, weighted, _ = _read_trajectories(path, terminals.shape[1], rows)
+    return t, states, weighted, terminals[rows]
 
 
 def _mixture_from_doc(doc):

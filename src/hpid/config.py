@@ -4,10 +4,11 @@ A manifest has three sections. [target] names what to sample (a built-in
 energy or a dataset of ground-truth rows), [potential] sets the quadratic
 confinement, [run] sets the engine parameters. Command-line overrides win
 over file values. One table below gives, for each energy and each control,
-its keys, their defaults and its constructor. `resolve` validates against
-it, fills defaults, and returns a normalized mapping of strings; the
-normalized form is what runs echo into summary.json, and feeding it back
-reproduces the run. `build_run_config` turns that form into a RunConfig.
+its keys and its constructor; a key is written as its default, or as its
+type when the manifest must give it. `resolve` validates against it, fills
+defaults, and returns a normalized mapping of strings; the normalized form
+is what runs echo into summary.json, and feeding it back reproduces the
+run. `build_run_config` turns that form into a RunConfig.
 """
 
 import configparser
@@ -24,45 +25,13 @@ from .sde import SdeConfig
 from .targets import DoubleWellEnergy, GaussianEnergy, grid_mixture
 
 _SECTIONS = ("target", "potential", "run")
-
-# section -> key -> type of its value
-_TYPES = {
-    "target": {
-        "kind": "str",
-        "energy": "str",
-        "dim": "int",
-        "sigma2": "float",
-        "mean": "float",
-        "stiffness": "float",
-        "side": "int",
-        "spacing": "float",
-        "data": "str",
-    },
-    "potential": {"beta": "floats"},
-    "run": {
-        "samples": "int",
-        "steps": "int",
-        "seed": "int",
-        "control": "str",
-        "n_is": "int",
-        "reuse_probe_noise": "bool",
-        "out": "str",
-        "record": "int",
-        "record_every": "int",
-        "quad_lo": "float",
-        "quad_hi": "float",
-        "quad_n": "int",
-    },
-}
-
-_REQUIRED = None  # the default of a key the manifest must give
 _ECHO = "cli_config"  # the summary.json key that holds a CLI run's manifest
 _ENERGY_CONTROLS = ("uhis", "oracle")
 
 
 class _Target(NamedTuple):
-    """A [target] row: its keys with their defaults, and a constructor
-    from the parsed keys to the RunConfig fields that name the target."""
+    """A [target] row: its keys, and a constructor from the parsed keys to
+    the RunConfig fields that name the target."""
 
     keys: dict
     build: Callable
@@ -71,8 +40,8 @@ class _Target(NamedTuple):
 
 class _Control(NamedTuple):
     """A [run] control row: the sampler's control_mode, the control's own
-    [run] keys with their defaults, and a constructor from the parsed keys
-    to its RunConfig fields."""
+    [run] keys, and a constructor from the parsed keys to its RunConfig
+    fields."""
 
     mode: str
     keys: dict
@@ -86,16 +55,20 @@ def _energy(cls):
 # built-in energies by [target] energy name; a row that gives dim a default
 # has that dimension only
 _ENERGIES = {
-    "gaussian": _Target({"dim": _REQUIRED, "sigma2": 1.0, "mean": 0.0}, _energy(GaussianEnergy)),
-    "double-well": _Target({"dim": _REQUIRED, "stiffness": 1.0}, _energy(DoubleWellEnergy)),
+    "gaussian": _Target({"dim": int, "sigma2": 1.0, "mean": 0.0}, _energy(GaussianEnergy)),
+    "double-well": _Target({"dim": int, "stiffness": 1.0}, _energy(DoubleWellEnergy)),
     "gaussian-mixture": _Target(
         {"dim": 2, "side": 3, "spacing": 5.0, "sigma2": 0.5}, _energy(grid_mixture)
     ),
 }
-_DATASET = _Target({"data": _REQUIRED}, lambda data: {"dataset": data}, ("empirical",))
+_DATASET = _Target({"data": str}, lambda data: {"dataset": data}, ("empirical",))
 
-# [run] keys of every run, then each control by its manifest name
-_RUN = {"samples": _REQUIRED, "steps": _REQUIRED, "seed": 0, "record": 0, "record_every": 1}
+# the [target] keys that pick a row, [potential], the [run] keys of every run,
+# and each control by its manifest name
+_KIND, _ENERGY = {"kind": str}, {"energy": str}
+_POTENTIAL = {"beta": []}
+_RUN = {"samples": int, "steps": int, "seed": 0, "record": 0, "record_every": 1, "control": ""}
+_OUT = {"out": str}  # the one key with no default: kept only when given
 _CONTROLS = {
     "uhis": _Control(
         "uhis",
@@ -112,27 +85,32 @@ _CONTROLS = {
     "empirical": _Control("empirical", {}),
 }
 
+# section -> key -> type of its value, for every key of the tables above
+_TYPES = {
+    section: {k: v if isinstance(v, type) else type(v) for t in tables for k, v in t.items()}
+    for section, tables in (
+        ("target", (_KIND, _ENERGY, _DATASET.keys, *(r.keys for r in _ENERGIES.values()))),
+        ("potential", (_POTENTIAL,)),
+        ("run", (_RUN, _OUT, *(r.keys for r in _CONTROLS.values()))),
+    )
+}
+
 
 def _parse_typed(section: str, key: str, raw: str):
-    where = f"[{section}] {key}"
     kind = _TYPES[section][key]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "floats":
+        if kind is list:
             return [float(p) for p in raw.split(",") if p.strip()]
-        if kind == "bool":
+        if kind is bool:
             low = raw.strip().lower()
             if low in ("true", "yes", "on", "1"):
                 return True
             if low in ("false", "no", "off", "0"):
                 return False
             raise ValueError(raw)
-        return raw.strip()
+        return kind(raw.strip())
     except ValueError:
-        raise ConfigError(f"{where} = {raw!r} is not a valid {kind}") from None
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}") from None
 
 
 def _fmt(value) -> str:
@@ -141,7 +119,7 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, list):
-        return ", ".join(repr(float(v)) for v in value)
+        return ", ".join(_fmt(v) for v in value)
     return str(value)
 
 
@@ -153,7 +131,7 @@ def load_config_file(path: str) -> dict:
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    if path.endswith(".json"):
+    if str(path).lower().endswith(".json"):
         with open(path) as f:
             try:
                 doc = json.load(f)
@@ -177,10 +155,7 @@ def load_config_file(path: str) -> dict:
     for s, sec in doc.items():
         if not isinstance(sec, dict):
             raise ConfigError(f"{path}: section {s!r} must be an object")
-    return {
-        s: {str(k): v if isinstance(v, str) else _fmt(v) for k, v in sec.items()}
-        for s, sec in doc.items()
-    }
+    return {s: {str(k): _fmt(v) for k, v in sec.items()} for s, sec in doc.items()}
 
 
 def resolve(raw: dict, overrides: dict | None = None) -> dict:
@@ -192,9 +167,8 @@ def resolve(raw: dict, overrides: dict | None = None) -> dict:
     """
     merged = {s: dict(raw.get(s, {})) for s in _SECTIONS}
     for (section, key), value in (overrides or {}).items():
-        if value is None:
-            continue
-        merged.setdefault(section, {})[key] = _fmt(value) if not isinstance(value, str) else value
+        if value is not None:
+            merged[section][key] = _fmt(value)
 
     for section, keys in merged.items():
         schema = _TYPES[section]
@@ -212,17 +186,17 @@ def resolve(raw: dict, overrides: dict | None = None) -> dict:
             raw_val = merged[section].get(key)
             if raw_val is not None:
                 out[section][key] = _parse_typed(section, key, raw_val)
-            elif default is _REQUIRED:
+            elif isinstance(default, type):
                 raise ConfigError(f"[{section}] {key} is required")
             else:
                 out[section][key] = default
 
     target = out["target"]
-    fill("target", {"kind": _REQUIRED})
+    fill("target", _KIND)
     if target["kind"] == "dataset":
         row, where = _DATASET, "kind = dataset"
     elif target["kind"] == "energy":
-        fill("target", {"energy": _REQUIRED})
+        fill("target", _ENERGY)
         row = _ENERGIES.get(target["energy"])
         if row is None:
             raise ConfigError(
@@ -231,9 +205,7 @@ def resolve(raw: dict, overrides: dict | None = None) -> dict:
             )
         where = f"energy = {target['energy']}"
     else:
-        raise ConfigError(
-            f"[target] kind must be 'energy' or 'dataset', got {target['kind']!r}"
-        )
+        raise ConfigError(f"[target] kind must be 'energy' or 'dataset', got {target['kind']!r}")
     for key in merged["target"]:
         if key not in target and key not in row.keys:
             owners = [name for name, r in _ENERGIES.items() if key in r.keys]
@@ -241,14 +213,14 @@ def resolve(raw: dict, overrides: dict | None = None) -> dict:
             raise ConfigError(f"[target] {key} does not apply to {where}{also}")
     fill("target", row.keys)
     dim, fixed = target.get("dim"), row.keys.get("dim")
-    if fixed is not None and dim != fixed:
+    if isinstance(fixed, int) and dim != fixed:
         raise ConfigError(f"[target] {where} is {fixed}-dimensional, got dim = {dim}")
     if dim is not None and dim < 1:
         raise ConfigError(f"[target] dim must be >= 1, got {dim}")
 
     # a blank beta or control means its default, as an absent one does
-    fill("potential", {"beta": []})
-    fill("run", {**_RUN, "control": ""})
+    fill("potential", _POTENTIAL)
+    fill("run", _RUN)
     out["potential"]["beta"] = out["potential"]["beta"] or [0.0]
     control = out["run"]["control"] = out["run"]["control"] or row.controls[0]
     if control not in row.controls:
@@ -257,18 +229,15 @@ def resolve(raw: dict, overrides: dict | None = None) -> dict:
             f"({where} takes control = {' or '.join(row.controls)})"
         )
     fill("run", _CONTROLS[control].keys)
-    if merged["run"].get("out") is not None:  # the one key with no default
-        out["run"]["out"] = _parse_typed("run", "out", merged["run"]["out"])
+    if merged["run"].get("out") is not None:
+        fill("run", _OUT)
 
     return {s: {k: _fmt(v) for k, v in sec.items()} for s, sec in out.items()}
 
 
 def build_run_config(normalized: dict, threads: int = 1) -> RunConfig:
     """RunConfig (plus constructed target) from a normalized manifest."""
-    parsed = {
-        s: {k: _parse_typed(s, k, v) for k, v in sec.items()}
-        for s, sec in normalized.items()
-    }
+    parsed = {s: {k: _parse_typed(s, k, v) for k, v in kv.items()} for s, kv in normalized.items()}
     target, run = parsed["target"], parsed["run"]
     kind = target.pop("kind")
     row = _DATASET if kind == "dataset" else _ENERGIES[target.pop("energy")]

@@ -51,7 +51,7 @@ from .control import (
 from .errors import AccuracyError, ConfigError, IntegrationError
 from .kernels import _COL_TILE, _ROW_TILE, ScalarBeta, decompose, log_g_plus
 from .sde import SdeConfig, integrate_batch
-from .targets import Energy, _write_container, _write_json, load_dataset, save_dataset
+from .targets import Energy, _write_json, _write_trajectories, load_dataset, save_dataset
 
 _ENERGY_MODES = ("uhis", "quadrature-oracle")
 _CHUNK_ELEMENTS = 4_000_000  # per-step working-set budget (doubles)
@@ -176,7 +176,7 @@ def _validate_and_build(cfg: RunConfig):
     if mode == "uhis":
         uhis = cfg.uhis if cfg.uhis is not None else UhisConfig(n_is=1000)
         if uhis.t_min <= 0.0:
-            # probe degenerates inside the first step; widen exactly there
+            # the probe degenerates at t = 0; t <= dt widens steps 0 and 1
             uhis = dataclasses.replace(uhis, t_min=cfg.sde.dt)
         evaluator = UhisControlEvaluator(params, cfg.energy, uhis)
     elif mode == "quadrature-oracle":
@@ -223,14 +223,8 @@ def _write_outputs(out: str, summary: RunSummary, batches, starts):
     save_dataset(os.path.join(out, "terminals.bin"), summary.terminals)
     recorded = [s + int(j) for b, s in zip(batches, starts) for j in b.record_indices]
     if recorded:
-        # one (R, 2d + 2) block per recorded path, in sample order
-        blocks = (
-            np.column_stack([b.times, b.states[j], b.weighted_states[j], b.ess_series[j]])
-            for b in batches
-            for j in range(len(b.record_indices))
-        )
-        rows, d = len(recorded) * len(batches[0].times), summary.terminals.shape[1]
-        _write_container(os.path.join(out, "trajectories.bin"), rows, 2 * d + 2, blocks)
+        records = [(b.states, b.weighted_states, b.ess_series) for b in batches]
+        _write_trajectories(os.path.join(out, "trajectories.bin"), batches[0].times, records)
     ess = summary.ess_min
     finite = ess[np.isfinite(ess)]
     doc = {

@@ -269,6 +269,39 @@ def _read_container(path: str) -> np.ndarray:
         return np.fromfile(f, dtype="<f8", count=count * dim).reshape(count, dim)
 
 
+def _write_trajectories(path: str, times, records: list) -> None:
+    """trajectories.bin of the paths of records, a list of (states (P, R, d),
+    weighted states (P, R, d), ESS (P, R)) at the shared times (R,): each
+    path, in order, as R rows [t, x, x_hat, ESS] of width 2d + 2."""
+    count, d = sum(len(ess) for _, _, ess in records), records[0][0].shape[2]
+    blocks = (
+        np.column_stack([times, x[j], x_hat[j], ess[j]])
+        for x, x_hat, ess in records
+        for j in range(len(ess))
+    )
+    _write_container(path, count * len(times), 2 * d + 2, blocks)
+
+
+def _read_trajectories(path: str, dim: int, ids: list):
+    """(times (R,), states (P, R, dim), weighted states (P, R, dim), ESS (P, R))
+    of a trajectories.bin of P = len(ids) paths, each named in errors by its id."""
+    table = _read_container(path)
+    w = 2 * dim + 2
+    if table.shape[1] != w:
+        raise FormatError(f"{path}: expected {w} columns for dim {dim}, got {table.shape[1]}")
+    if table.shape[0] % len(ids):
+        raise FormatError(f"{path}: {table.shape[0]} rows do not split into {len(ids)} paths")
+    table = table.reshape(len(ids), -1, w)
+    t = table[:, :, 0]
+    bad = np.flatnonzero((t != t[0]).any(axis=1))
+    if bad.size:
+        raise FormatError(f"{path}: t column of path {ids[bad[0]]} differs from path {ids[0]}'s")
+    # contiguous copies, laid out as the in-memory record
+    states = np.ascontiguousarray(table[:, :, 1 : dim + 1])
+    weighted = np.ascontiguousarray(table[:, :, dim + 1 : w - 1])
+    return t[0], states, weighted, table[:, :, w - 1]
+
+
 def _load_csv(path: str) -> np.ndarray:
     rows = []
     width = None

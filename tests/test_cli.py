@@ -72,7 +72,7 @@ def test_sample_energy_and_echo_reproduces(tmp_path, capsys):
     doc = json.loads((out1 / "summary.json").read_text())
     assert doc["subcommand"] == "sample-energy"
     assert doc["cli_config"]["run"]["n_is"] == "64"
-    assert doc["cli_config_sha256"] == doc["cli_config_sha256"].lower()
+    assert f"config sha256: {doc['config_sha256']}\n" in text
 
     # feeding the echoed summary back reproduces the run bit for bit
     out2 = tmp_path / "run2"
@@ -91,6 +91,26 @@ def test_sample_energy_and_echo_reproduces(tmp_path, capsys):
         a_sec.pop("out", None)
         b_sec.pop("out", None)
         assert a_sec == b_sec
+
+
+def test_rerun_elsewhere_prints_the_same_hash(tmp_path, capsys):
+    # the printed hash keys the run, so the output directory is not part of it
+    cfg = _write(tmp_path, "m.ini", GAUSS_INI)
+    hashes = []
+    for config, out in ((cfg, "run1"), (str(tmp_path / "run1" / "summary.json"), "run2")):
+        assert main(["sample-energy", "--config", config, "--out", str(tmp_path / out)]) == 0
+        hashes.append(capsys.readouterr().out.split("config sha256: ")[1].strip())
+    assert hashes[0] == hashes[1]
+
+
+def test_upper_case_json_config_reruns(tmp_path, capsys):
+    cfg = _write(tmp_path, "m.ini", GAUSS_INI)
+    assert main(["sample-energy", "--config", cfg, "--out", str(tmp_path / "run1")]) == 0
+    upper = tmp_path / "S.JSON"
+    upper.write_text((tmp_path / "run1" / "summary.json").read_text())
+    assert main(["sample-energy", "--config", str(upper), "--out", str(tmp_path / "run2")]) == 0
+    a = (tmp_path / "run1" / "terminals.bin").read_bytes()
+    assert (tmp_path / "run2" / "terminals.bin").read_bytes() == a
 
 
 def test_sample_energy_overrides(tmp_path, capsys):
@@ -221,10 +241,12 @@ def test_aborted_run_reruns_from_its_summary(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sampler_mod, "integrate_batch", inner)
     argv = ["sample-energy", "--config", str(out / "summary.json"), "--threads", "1"]
     assert main(argv) == 0
-    assert f"wrote 32 samples (dim 1) to {out}" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert f"wrote 32 samples (dim 1) to {out}" in text
     done = json.loads((out / "summary.json").read_text())
     assert done["status"] == "complete"
-    for key in ("subcommand", "cli_config", "cli_config_sha256", "config", "config_sha256"):
+    assert f"config sha256: {done['config_sha256']}\n" in text
+    for key in ("subcommand", "cli_config", "config", "config_sha256"):
         assert done[key] == aborted[key], key
 
 
@@ -325,14 +347,16 @@ def test_diagnose_missing_listed_file_is_exit_2(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize(
-    "bad", [3, 99, -1, 1.5, 1], ids=["3", "99", "-1", "1.5", "duplicate"]
+    "recorded",
+    [[0, 1, 3], [0, 1, 99], [0, 1, -1], [0, 1, 1.5], [0, 1, 1], 1],
+    ids=["3", "99", "-1", "1.5", "duplicate", "bare-int"],
 )
-def test_diagnose_rejects_bad_recorded_indices(tmp_path, capsys, bad):
+def test_diagnose_rejects_bad_recorded_indices(tmp_path, capsys, recorded):
     # a recorded index picks the terminal its rows pair with, so it must
-    # be a sample of the run (3 here), an integer, and listed once
+    # be a sample of the run (3 here), an integer, and listed once, in a list
     out = _recorded_run(tmp_path, capsys)
     doc = json.loads((out / "summary.json").read_text())
-    doc["recorded"] = [0, 1, bad]
+    doc["recorded"] = recorded
     (out / "summary.json").write_text(json.dumps(doc))
     assert main(["diagnose", "--run", str(out), "--bootstrap", "0"]) == 2
     err = capsys.readouterr().err

@@ -5,6 +5,12 @@ import numpy as np
 import pytest
 
 from hpid.config import (
+    _CONTROLS,
+    _DATASET,
+    _ENERGIES,
+    _OUT,
+    _POTENTIAL,
+    _RUN,
     _SECTIONS,
     build_run_config,
     load_config_file,
@@ -68,6 +74,71 @@ def test_normalized_form_round_trips(tmp_path):
     assert "n_is" not in r["run"]
 
 
+# a value other than its default for every manifest key, written as its
+# normalized echo: a key declared with the wrong type either fails to parse
+# it or echoes it differently
+_GIVEN = {
+    "target": {
+        "dim": "2",
+        "sigma2": "0.75",
+        "mean": "-0.5",
+        "stiffness": "2.5",
+        "side": "2",
+        "spacing": "4.5",
+        "data": "gt.bin",
+    },
+    "potential": {"beta": "0.25, 0.5"},
+    "run": {
+        "samples": "4",
+        "steps": "3",
+        "seed": "7",
+        "record": "2",
+        "record_every": "2",
+        "out": "somewhere",
+        "n_is": "17",
+        "reuse_probe_noise": "true",
+        "quad_lo": "-6.5",
+        "quad_hi": "6.5",
+        "quad_n": "201",
+    },
+}
+
+
+@pytest.mark.parametrize("given", ["required", "every"])
+@pytest.mark.parametrize(
+    "target, control",
+    [(name, c) for name, row in {**_ENERGIES, "dataset": _DATASET}.items() for c in row.controls],
+)
+def test_every_row_and_control_round_trips(tmp_path, target, control, given):
+    row = _ENERGIES.get(target, _DATASET)
+    keys = {
+        "target": row.keys,
+        "potential": _POTENTIAL,
+        "run": {**_RUN, **_OUT, **_CONTROLS[control].keys},
+    }
+    raw = {
+        section: {
+            k: v
+            for k, v in _GIVEN[section].items()
+            if k in keys[section] and (given == "every" or isinstance(keys[section][k], type))
+        }
+        for section in _SECTIONS
+    }
+    raw["target"]["kind"] = "dataset" if row is _DATASET else "energy"
+    if row is not _DATASET:
+        raw["target"]["energy"] = target
+    raw["run"]["control"] = control
+    r = resolve(raw)
+    if given == "every":
+        assert r == raw
+    path = tmp_path / "m.ini"
+    path.write_text(config_text(r))
+    again = resolve(load_config_file(str(path)))
+    assert again == r
+    cfg = build_run_config(again)
+    assert cfg.control_mode == _CONTROLS[control].mode
+
+
 def test_summary_json_echo_reads_back(tmp_path):
     r = resolve(_energy_raw())
     doc = {"status": "complete", "cli_config": r, "other": 1}
@@ -91,6 +162,18 @@ def test_summary_json_echo_reads_back(tmp_path):
         load_config_file(str(arr))
     with pytest.raises(ConfigError, match="not found"):
         load_config_file(str(tmp_path / "missing.ini"))
+
+
+def test_json_values_of_any_type_reach_the_type_check(tmp_path):
+    # a JSON manifest may give numbers and lists; a list entry that is not
+    # a number fails as a bad value of its key
+    path = tmp_path / "m.json"
+    raw = _energy_raw()
+    path.write_text(json.dumps({**raw, "potential": {"beta": [0.5, 1]}}))
+    assert resolve(load_config_file(str(path)))["potential"]["beta"] == "0.5, 1.0"
+    path.write_text(json.dumps({**raw, "potential": {"beta": [0.5, "x"]}}))
+    with pytest.raises(ConfigError, match=r"\[potential\] beta = '0.5, x' is not a valid list"):
+        resolve(load_config_file(str(path)))
 
 
 def test_json_section_must_be_an_object(tmp_path):

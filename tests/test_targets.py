@@ -14,6 +14,8 @@ from hpid.targets import (
     DoubleWellEnergy,
     GaussianEnergy,
     GaussianMixtureEnergy,
+    _read_trajectories,
+    _write_trajectories,
     assign_modes,
     grid_mixture,
     load_dataset,
@@ -282,6 +284,33 @@ def test_dataset_container_makes_no_copy_of_its_payload(tmp_path):
     assert save_peak < 1e6
     assert load_peak < 1.25 * samples.nbytes
     assert np.array_equal(back.samples, samples)
+
+
+def test_trajectory_records_round_trip_bitwise(tmp_path):
+    # three paths of 5 rows in d = 2, written as groups of one and two; the
+    # middle path has no weighted state (NaN x_hat), and a negative zero and
+    # a subnormal keep their bits too
+    rng = np.random.default_rng(3)
+    times = np.linspace(0.0, 0.8, 5)
+    x, x_hat = rng.normal(size=(3, 5, 2)), rng.normal(size=(3, 5, 2))
+    ess = rng.uniform(1.0, 9.0, (3, 5))
+    x_hat[1] = np.nan
+    x[0, 0, 0], x_hat[2, 1, 1] = -0.0, 5e-324
+    path = tmp_path / "trajectories.bin"
+    groups = [(x[:1], x_hat[:1], ess[:1]), (x[1:], x_hat[1:], ess[1:])]
+    _write_trajectories(str(path), times, groups)
+    assert path.stat().st_size == 24 + 3 * 5 * (2 * 2 + 2) * 8
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    back = _read_trajectories(str(path), 2, [4, 7, 9])
+    for got, want in zip(back, (times, x, x_hat, ess)):
+        assert np.array_equal(bits(got), bits(want))
+    with pytest.raises(FormatError, match="expected 8 columns for dim 3, got 6"):
+        _read_trajectories(str(path), 3, [4, 7, 9])
+    with pytest.raises(FormatError, match="15 rows do not split into 2 paths"):
+        _read_trajectories(str(path), 2, [4, 7])
 
 
 def test_csv_error_messages_name_row(tmp_path):
