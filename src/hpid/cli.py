@@ -9,7 +9,7 @@ Subcommands:
                     one evaluator each, on a 1-d double well
 
 Exit codes: 0 success; 2 bad configuration, schema, or input file (a
-trajectories.bin its summary.json does not describe, an unwritable --out);
+malformed summary.json or trajectories.bin, an unwritable --out);
 3 numerical failure (diverged trajectory, accuracy contract missed).
 A sampling run's summary.json, complete or aborted, echoes its resolved
 manifest (subcommand, cli_config); passed back to sample-energy --config,
@@ -130,8 +130,7 @@ def _run_manifest(subcommand: str, resolved: dict, threads: int) -> int:
     print(f"wrote {s} samples (dim {d}) to {cfg.out_dir}")
     if summary.z_estimate is not None:
         print(f"Z estimate: {summary.z_estimate:.6g} +- {summary.z_stderr:.3g}")
-    if math.isfinite(summary.min_ess):
-        print(f"min ESS: {summary.min_ess:.3g}")
+    print(f"min ESS: {summary.min_ess:.3g}")
     print(f"config sha256: {summary.config_hash}")
     return 0
 
@@ -204,10 +203,17 @@ def _load_run_dir(run_dir: str):
     path = os.path.join(run_dir, "summary.json")
     if not os.path.exists(path):
         raise ConfigError(f"no summary.json in {run_dir}")
-    with open(path) as f:
-        doc = json.load(f)
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except ValueError as e:  # invalid JSON, or bytes that are not text
+        raise FormatError(f"{path} is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path} holds a JSON {type(doc).__name__}, not an object")
     if doc.get("status") != "complete":
         raise ConfigError(f"run in {run_dir} has status {doc.get('status')!r}")
+    if not isinstance(doc.get("terminals"), str):
+        raise FormatError(f"{path} lists terminals {doc.get('terminals')!r}, not a file name")
     target = load_dataset(_listed_file(run_dir, doc["terminals"]))
     return doc, target.samples
 
@@ -246,11 +252,15 @@ def _load_trajectories(run_dir: str, doc: dict, terminals: np.ndarray):
     return t, states, weighted, terminals[rows]
 
 
-def _mixture_from_doc(doc):
+def _mixture_from_doc(run_dir: str, doc: dict):
     """The mixture a run sampled, from the target its summary describes."""
     desc = (doc.get("config") or {}).get("target") or {}
     if desc.get("class") != "GaussianMixtureEnergy":
         return None
+    missing = ", ".join(k for k in ("centers", "sigma2", "weights") if k not in desc)
+    if missing:
+        path = os.path.join(run_dir, "summary.json")
+        raise FormatError(f"{path} describes a mixture target without {missing}")
     return GaussianMixtureEnergy(
         centers=np.asarray(desc["centers"]),
         sigma2=float(desc["sigma2"]),
@@ -263,7 +273,7 @@ def _cmd_diagnose(args) -> int:
         raise ConfigError(f"--bootstrap must be >= 0, got {args.bootstrap}")
     doc, terminals = _load_run_dir(args.run)
     recorded = _load_trajectories(args.run, doc, terminals)
-    mixture = _mixture_from_doc(doc)
+    mixture = _mixture_from_doc(args.run, doc)
     if recorded is None and mixture is None:
         raise ConfigError(
             f"run in {args.run} recorded no trajectories and has no mode "

@@ -101,14 +101,14 @@ LOW_ESS = 1.5  # an evaluation with a smaller ESS rests on about one draw or row
 class ControlOutput:
     """One drift evaluation plus its importance-sampling diagnostics.
 
+    Every field is per point: drift and weighted_state have x's shape, ess
+    and max_weight x.shape[:-1] (floats for one unbatched point).
     weighted_state is x̂, the weight-averaged target point the drift
-    recomposes from (u = c1 (x̂ - c2 x)); None only for opaque
-    plain-function controls. ess and max_weight are per-point when x is
-    batched.
+    recomposes from (u = c1 (x̂ - c2 x)); NaN for plain-function controls.
     """
 
     drift: np.ndarray
-    weighted_state: np.ndarray | None
+    weighted_state: np.ndarray
     ess: float | np.ndarray
     max_weight: float | np.ndarray
 
@@ -366,7 +366,8 @@ class QuadratureControlEvaluator:
 
 
 class FunctionControlEvaluator:
-    """Wrap a plain drift function u(t, x); no IS diagnostics available."""
+    """Wrap a plain drift function u(t, x). It has no weights, so each point
+    reports a NaN weighted state and the ESS and max weight of one sure draw."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -375,5 +376,7 @@ class FunctionControlEvaluator:
         return None
 
     def __call__(self, t, x, xi=None) -> ControlOutput:
-        u = np.asarray(self.fn(t, np.asarray(x, dtype=float)), dtype=float)
-        return ControlOutput(drift=u, weighted_state=None, ess=1.0, max_weight=1.0)
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(self.fn(t, x), dtype=float)
+        one = _ret(np.ones(x.shape[:-1]))
+        return ControlOutput(u, np.full(x.shape, np.nan), one, one)

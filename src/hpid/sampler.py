@@ -225,8 +225,6 @@ def _write_outputs(out: str, summary: RunSummary, batches, starts):
     if recorded:
         records = [(b.states, b.weighted_states, b.ess_series) for b in batches]
         _write_trajectories(os.path.join(out, "trajectories.bin"), batches[0].times, records)
-    ess = summary.ess_min
-    finite = ess[np.isfinite(ess)]
     doc = {
         "status": "complete",
         "n_samples": int(summary.terminals.shape[0]),
@@ -234,8 +232,8 @@ def _write_outputs(out: str, summary: RunSummary, batches, starts):
         "z_estimate": summary.z_estimate,
         "z_stderr": summary.z_stderr,
         "min_ess": summary.min_ess,
-        "ess_min_median": float(np.median(finite)) if finite.size else None,
-        "low_ess_fraction": float((finite < LOW_ESS).mean()) if finite.size else None,
+        "ess_min_median": float(np.median(summary.ess_min)),
+        "low_ess_fraction": float((summary.ess_min < LOW_ESS).mean()),
         "terminals": "terminals.bin",
         "trajectories": "trajectories.bin" if recorded else None,
         "recorded": recorded,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, IntegrationError
-from .kernels import _harmonic_step
+from .kernels import ScalarBeta, _harmonic_step
 from .rng import PURPOSE_INCREMENT, PURPOSE_PROBE, normal_rows
 
 
@@ -51,8 +51,7 @@ class BatchTrajectories:
 
     times hold the drift-evaluation instants; the state at t = 1 lives in
     terminals, after the last step. The recorded arrays have B_rec = 0
-    rows when nothing is recorded. A control that does not report its
-    weighted state leaves NaN rows in weighted_states.
+    rows when nothing is recorded.
     """
 
     times: np.ndarray  # (R,)
@@ -92,19 +91,24 @@ def integrate_batch(
 
     first_trajectory offsets the noise rows, so splitting a population of
     paths into consecutive batches reproduces exactly the paths a single
-    large batch would produce. params sets log_weight's reference (None: free).
+    large batch would produce. params, of dimension dim, is log_weight's
+    reference potential; None is the free beta = 0 reference. control
+    answers per point: drift and x-hat (B, dim), ESS and max weight (B,).
     """
-    if dim < 1:
-        raise InputError(f"dim must be >= 1, got {dim}")
     if n_trajectories < 1:
         raise InputError(f"n_trajectories must be >= 1, got {n_trajectories}")
+    params = ScalarBeta(0.0, dim) if params is None else params  # checks dim >= 1
+    if params.dim != dim:
+        raise InputError(f"params has dim {params.dim}, the paths have dim {dim}")
     K = cfg.n_steps
     dt = cfg.dt
     sqrt_dt = math.sqrt(dt)
     B = n_trajectories
 
     noise_shape = control.noise_shape(dim)
-    reuse = bool(getattr(control, "reuse_probe_noise", False))
+    # a shared panel is the step's one row, so it is invariant under batch splits
+    shared = getattr(control, "reuse_probe_noise", False)
+    first, rows = (0, 1) if shared else (first_trajectory, B)
     rec_idx = _resolve_record(record, B)
     rec_steps = sorted({k for k in range(K) if k % cfg.record_every == 0} | {K - 1})
     rec_col = {k: r for r, k in enumerate(rec_steps)}
@@ -119,25 +123,18 @@ def integrate_batch(
 
     x = np.zeros((B, dim))
     log_w = np.zeros(B)
-    step_factor = None if params is None else _harmonic_step(params, dt)
-    x_eig = None if params is None else params.to_eigenbasis(x)
+    step_factor = _harmonic_step(params, dt)
+    # each state is rotated into the eigenbasis once and carried
+    x_eig = params.to_eigenbasis(x)
     ess_min_per = np.full(B, math.inf)
 
     for k in range(K):
         t = k * dt
         xi_probe = None
         if noise_shape is not None:
-            n_is = int(noise_shape[0])
-            width = n_is * dim
-            if reuse:
-                # one panel per step, shared by the whole batch; keying by
-                # step only keeps the paths invariant under batch splits
-                block = normal_rows(cfg.seed, k, PURPOSE_PROBE, 0, 1, width)
-                xi_probe = block.reshape(n_is, dim)
-            else:
-                xi_probe = normal_rows(
-                    cfg.seed, k, PURPOSE_PROBE, first_trajectory, B, width
-                ).reshape(B, n_is, dim)
+            xi_probe = normal_rows(
+                cfg.seed, k, PURPOSE_PROBE, first, rows, math.prod(noise_shape)
+            ).reshape(noise_shape if shared else (rows, *noise_shape))
         out = control(t, x, xi=xi_probe)
         u = np.asarray(out.drift, dtype=float)
         if u.shape != x.shape:
@@ -145,22 +142,13 @@ def integrate_batch(
                 f"control returned drift of shape {u.shape}, expected {x.shape}"
             )
 
-        ess = np.broadcast_to(np.asarray(out.ess, dtype=float), (B,))
-        np.minimum(ess_min_per, ess, out=ess_min_per)
+        np.minimum(ess_min_per, out.ess, out=ess_min_per)
         if n_rec and k in rec_col:
             r = rec_col[k]
             states[:, r] = x[rec_idx]  # state at the drift instant
-            ess_series[:, r] = ess[rec_idx]
-            maxw_series[:, r] = np.broadcast_to(
-                np.asarray(out.max_weight, dtype=float), (B,)
-            )[rec_idx]
-            if out.weighted_state is None:
-                w_states[:, r] = np.nan
-            else:
-                ws = np.broadcast_to(
-                    np.asarray(out.weighted_state, dtype=float), (B, dim)
-                )
-                w_states[:, r] = ws[rec_idx]
+            w_states[:, r] = out.weighted_state[rec_idx]
+            ess_series[:, r] = out.ess[rec_idx]
+            maxw_series[:, r] = out.max_weight[rec_idx]
 
         xi = normal_rows(cfg.seed, k, PURPOSE_INCREMENT, first_trajectory, B, dim)
         x_new = x + u * dt + sqrt_dt * xi
@@ -175,12 +163,9 @@ def integrate_batch(
         log_w += -sqrt_dt * np.einsum("bd,bd->b", u, xi) - 0.5 * dt * np.einsum(
             "bd,bd->b", u, u
         )
-        if step_factor is not None:
-            # each state is rotated into the eigenbasis once and carried
-            x_new_eig = params.to_eigenbasis(x_new)
-            log_w += step_factor(x_eig, x_new_eig)
-            x_eig = x_new_eig
-        x = x_new
+        x_new_eig = params.to_eigenbasis(x_new)
+        log_w += step_factor(x_eig, x_new_eig)
+        x, x_eig = x_new, x_new_eig
 
     return BatchTrajectories(
         times=times,

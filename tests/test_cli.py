@@ -416,6 +416,48 @@ def test_diagnose_rejects_a_damaged_trajectories_bin(tmp_path, capsys, damage, w
     assert str(out / "trajectories.bin") in err and words in err
 
 
+def _no_mixture_centers(doc):
+    doc["config"]["target"] = {"class": "GaussianMixtureEnergy", "sigma2": 0.5, "weights": [1.0]}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "summary, words",
+    [
+        (lambda doc: '{"status": "complete", "terminals": ', "not valid JSON"),
+        (lambda doc: json.dumps([doc]), "holds a JSON list, not an object"),
+        (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "terminals"}),
+         "lists terminals None"),
+        (lambda doc: json.dumps({**doc, "terminals": 3}), "lists terminals 3"),
+        (_no_mixture_centers, "mixture target without centers"),
+    ],
+    ids=["truncated", "list", "no-terminals", "int-terminals", "no-centers"],
+)
+def test_diagnose_rejects_a_malformed_summary(tmp_path, capsys, summary, words):
+    out = _recorded_run(tmp_path, capsys)
+    path = out / "summary.json"
+    path.write_text(summary(json.loads(path.read_text())))
+    assert main(["diagnose", "--run", str(out), "--bootstrap", "0"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and words in err
+
+
+def test_diagnose_exits_2_on_any_truncated_input(tmp_path, capsys):
+    # every failure leaves an exit code: diagnose on a summary.json or a
+    # trajectories.bin cut at any byte is exit 2, never a traceback
+    out = _recorded_run(tmp_path, capsys)
+    argv = ["diagnose", "--run", str(out), "--bootstrap", "0"]
+    for name in ("summary.json", "trajectories.bin"):
+        path = out / name
+        whole = path.read_bytes()
+        for cut in np.unique(np.linspace(0, len(whole) - 1, 40).astype(int)):
+            path.write_bytes(whole[:cut])
+            assert main(argv) == 2, (name, cut)
+        path.write_bytes(whole)
+    capsys.readouterr()
+    assert main(argv) == 0
+
+
 def test_unwritable_out_is_exit_2(tmp_path, capsys):
     # an output directory under a regular file cannot be made: an input
     # error, not a numerical one

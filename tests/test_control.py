@@ -631,8 +631,40 @@ def test_function_evaluator_wraps_plain_drift():
     ev = FunctionControlEvaluator(lambda t, x: -2.0 * x)
     assert ev.noise_shape(3) is None
     out = ev(0.1, np.array([1.0, -0.5]))
-    assert out.weighted_state is None
+    assert out.weighted_state.shape == (2,) and np.isnan(out.weighted_state).all()
+    assert out.ess == out.max_weight == 1.0
     assert_allclose(out.drift, [-2.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "kind", ["function", "uhis-shared", "uhis-blocks", "uhis-wide", "empirical", "quadrature"]
+)
+def test_every_evaluator_answers_per_point(kind):
+    # the integrator indexes every field by trajectory: drift and x-hat
+    # (B, d), ESS and max weight (B,); one unbatched point keeps float ESS
+    params = ScalarBeta(beta=0.5, dim=2)
+    B, n_is, t = 5, 16, 0.4
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(B, 2))
+    xi = xi_one = None
+    if kind == "function":
+        ev = FunctionControlEvaluator(lambda t, x: -x)
+    elif kind.startswith("uhis"):
+        cfg = UhisConfig(n_is=n_is, t_min=0.5 if kind == "uhis-wide" else 0.0)
+        ev = UhisControlEvaluator(params, _mixture2(), cfg)
+        xi = normals_from(rng, (B, n_is, 2) if kind == "uhis-blocks" else (n_is, 2))
+        xi_one = normals_from(rng, (n_is, 2))
+    elif kind == "empirical":
+        ev = EmpiricalControlEvaluator(params, EmpiricalTarget(rng.normal(size=(7, 2))))
+    else:
+        grid = QuadratureGrid(lo=-10.0, hi=10.0, n=101)
+        ev = QuadratureControlEvaluator(params, _mixture2(), grid)
+    out = ev(t, x, xi=xi)
+    assert out.drift.shape == out.weighted_state.shape == (B, 2)
+    assert out.ess.shape == out.max_weight.shape == (B,)
+    one = ev(t, x[0], xi=xi_one)
+    assert one.drift.shape == one.weighted_state.shape == (2,)
+    assert type(one.ess) is float and type(one.max_weight) is float
 
 
 def test_empirical_evaluator_deterministic():

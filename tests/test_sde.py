@@ -272,6 +272,31 @@ def test_matrix_beta_rotates_each_state_once(monkeypatch):
     assert np.array_equal(batch.log_weight, log_w)
 
 
+def test_free_reference_is_beta_zero():
+    # params None is the beta = 0 reference: its step factor is exactly
+    # zero, so the path weight keeps the Girsanov term's bits
+    control = FunctionControlEvaluator(lambda t, x: np.sin(x) - t * x)
+    cfg = SdeConfig(n_steps=12, seed=8)
+    free = integrate_batch(cfg, control, dim=3, n_trajectories=9)
+    zero = integrate_batch(
+        cfg, control, dim=3, n_trajectories=9, params=ScalarBeta(0.0, 3)
+    )
+    assert np.array_equal(free.terminals, zero.terminals)
+    assert np.array_equal(free.log_weight, zero.log_weight)
+    assert np.all(free.log_weight != 0.0)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [ScalarBeta(beta=0.5, dim=2), decompose(np.diag([0.5, 1.0]))],
+    ids=["scalar", "matrix"],
+)
+def test_reference_potential_must_match_dim(params):
+    cfg = SdeConfig(n_steps=10, seed=0)
+    with pytest.raises(InputError, match="params has dim 2, the paths have dim 3"):
+        integrate_batch(cfg, _zero_control(), dim=3, n_trajectories=4, params=params)
+
+
 def test_single_trajectory_matches_batch_row():
     params = ScalarBeta(beta=0.6, dim=2)
     cfg = SdeConfig(n_steps=15, seed=31)
