@@ -232,11 +232,8 @@ def _load_trajectories(run_dir: str, doc: dict, terminals: np.ndarray):
     if not name:
         return None
     if not isinstance(name, str):
-        raise FormatError(
-            f"{os.path.join(run_dir, 'summary.json')} lists trajectories {name!r}: "
-            "the run was written in the old format, one CSV per path; rerun it to "
-            "write trajectories.bin"
-        )
+        path = os.path.join(run_dir, "summary.json")
+        raise FormatError(f"{path} lists trajectories {name!r}, not a file name")
     path = _listed_file(run_dir, name)
     n = terminals.shape[0]
     # each recorded index pairs a block of rows with its terminal
@@ -254,18 +251,25 @@ def _load_trajectories(run_dir: str, doc: dict, terminals: np.ndarray):
 
 def _mixture_from_doc(run_dir: str, doc: dict):
     """The mixture a run sampled, from the target its summary describes."""
-    desc = (doc.get("config") or {}).get("target") or {}
+    path = os.path.join(run_dir, "summary.json")
+    desc = doc.get("config") or {}
+    if isinstance(desc, dict):
+        desc = desc.get("target") or {}
+    if not isinstance(desc, dict):
+        raise FormatError(f"{path}: config or its target is {desc!r}, not an object")
     if desc.get("class") != "GaussianMixtureEnergy":
         return None
     missing = ", ".join(k for k in ("centers", "sigma2", "weights") if k not in desc)
     if missing:
-        path = os.path.join(run_dir, "summary.json")
         raise FormatError(f"{path} describes a mixture target without {missing}")
-    return GaussianMixtureEnergy(
-        centers=np.asarray(desc["centers"]),
-        sigma2=float(desc["sigma2"]),
-        weights=np.asarray(desc["weights"]),
-    )
+    try:
+        return GaussianMixtureEnergy(
+            centers=np.asarray(desc["centers"], dtype=float),
+            sigma2=float(desc["sigma2"]),
+            weights=np.asarray(desc["weights"], dtype=float),
+        )
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"{path} describes a mixture target that cannot be built: {e}") from None
 
 
 def _cmd_diagnose(args) -> int:

@@ -10,10 +10,12 @@ trajectories run alongside it.
 Normals are produced by inverse-CDF transform of uniforms because each
 uniform consumes exactly one 64-bit draw; rejection-based normal samplers
 consume a data-dependent count, which would break fixed-offset slicing.
+The transform is scipy's `ndtri`, imported on the first draw rather than
+with the package: a process that only reads results, parses a manifest
+or prints --help never loads scipy. Where it is imported changes no bit.
 """
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InputError
 
@@ -60,12 +62,17 @@ def normal_rows(
         g.bit_generator.advance(blocks)
     if rem:
         g.random(rem)
-    u = g.random(n_rows * row_width)
-    return ndtri(np.maximum(u, _U_FLOOR)).reshape(n_rows, row_width)
+    return _normals(g.random(n_rows * row_width)).reshape(n_rows, row_width)
 
 
 def normals_from(generator: np.random.Generator, shape) -> np.ndarray:
     """Standard normals drawn through the same inverse-CDF transform as
     `normal_rows`, for standalone (non-addressed) use."""
-    u = generator.random(int(np.prod(shape)))
-    return ndtri(np.maximum(u, _U_FLOOR)).reshape(shape)
+    return _normals(generator.random(int(np.prod(shape)))).reshape(shape)
+
+
+def _normals(u: np.ndarray) -> np.ndarray:
+    """Standard normals ndtri(u) of uniforms u in [0, 1), floored at _U_FLOOR."""
+    from scipy.special import ndtri  # here, not at import: scipy loads slowly
+
+    return ndtri(np.maximum(u, _U_FLOOR))

@@ -14,7 +14,10 @@ the self-normalized weights. For the Gaussian mixture the convention is
 so its partition function is Z = (sum_k w_k) (2 pi sigma2)^(d/2).
 
 All energies evaluate batched: value maps (..., d) -> (...,). They are
-immutable after construction and safe for concurrent evaluation.
+immutable after construction and safe for concurrent evaluation. The
+mixture's value at a point depends on that point alone, bitwise: it sums
+squared distances one axis at a time and takes its own max-shifted
+log-sum-exp over the components, so importing this module loads no scipy.
 """
 
 import json
@@ -25,7 +28,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .control import EmpiricalTarget
 from .errors import FormatError, InputError
@@ -143,20 +145,29 @@ class GaussianMixtureEnergy(Energy):
         object.__setattr__(self, "dim", int(c.shape[1]))
 
     def _sq_dists(self, y):
-        # |y|^2 - 2 y.mu + |mu|^2
+        # (..., M) summed one axis at a time: elementwise, so a point's
+        # distances do not depend on the points beside it
         y = np.asarray(y, dtype=float)
-        yy = np.einsum("...i,...i->...", y, y)
-        cc = np.einsum("mi,mi->m", self.centers, self.centers)
-        return yy[..., None] - 2.0 * _rows_matmul(y, self.centers.T) + cc
-
-    def _log_resp(self, y):
-        a = -self._sq_dists(y) / (2.0 * self.sigma2)
-        with np.errstate(divide="ignore"):  # zero weights are legal
-            a = a + np.log(self.weights)
-        return a
+        if y.ndim < 1 or y.shape[-1] != self.dim:
+            raise InputError(f"points must have trailing dimension {self.dim}, got {y.shape}")
+        sq = np.zeros(y.shape[:-1] + (len(self.centers),))
+        for i, c in enumerate(self.centers.T):
+            diff = y[..., i, None] - c
+            sq += np.square(diff, out=diff)
+        return sq
 
     def value(self, y):
-        return -logsumexp(self._log_resp(y), axis=-1)
+        # -log sum_j exp(a_j), a_j = log w_j - |y - c_j|^2 / (2 sigma2), shifted
+        # by the largest a_j; where every a_j is -inf (an infinite coordinate)
+        # the shift is 0 and E is +inf, and a NaN coordinate gives NaN
+        a = self._sq_dists(y)
+        a *= -0.5 / self.sigma2
+        with np.errstate(divide="ignore"):  # zero weights are legal; so is a zero sum
+            a += np.log(self.weights)
+            top = a.max(axis=-1)
+            shift = np.where(np.isfinite(top), top, 0.0)
+            a -= shift[..., None]
+            return -(np.log(np.exp(a, out=a).sum(axis=-1)) + shift)
 
     def panel_logw(self, means, scale, panel):
         # -E(y) = -|y|^2/(2 s2) + logsumexp_j[log w_j + (y.c_j - |c_j|^2/2)/s2];
@@ -219,10 +230,6 @@ def assign_modes(m: GaussianMixtureEnergy, samples) -> np.ndarray:
     s = np.asarray(samples, dtype=float)
     if s.ndim == 1:
         s = s[:, None]
-    if s.shape[-1] != m.dim:
-        raise InputError(
-            f"samples must have trailing dimension {m.dim}, got {s.shape}"
-        )
     return np.argmin(m._sq_dists(s), axis=-1)
 
 

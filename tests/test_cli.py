@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,7 +386,7 @@ def test_diagnose_names_the_old_csv_format(tmp_path, capsys):
     (out / "summary.json").write_text(json.dumps(doc))
     assert main(["diagnose", "--run", str(out), "--bootstrap", "0"]) == 2
     err = capsys.readouterr().err
-    assert str(out / "summary.json") in err and "old format" in err
+    assert str(out / "summary.json") in err and "not a file name" in err
 
 
 def _truncate(path):
@@ -416,9 +419,19 @@ def test_diagnose_rejects_a_damaged_trajectories_bin(tmp_path, capsys, damage, w
     assert str(out / "trajectories.bin") in err and words in err
 
 
-def _no_mixture_centers(doc):
-    doc["config"]["target"] = {"class": "GaussianMixtureEnergy", "sigma2": 0.5, "weights": [1.0]}
-    return json.dumps(doc)
+def _target(value):
+    """An edit of summary.json that describes the run's target as value."""
+
+    def edit(doc):
+        doc["config"]["target"] = value
+        return json.dumps(doc)
+
+    return edit
+
+
+_MIXTURE = {
+    "class": "GaussianMixtureEnergy", "centers": [[0.0, 0.0]], "sigma2": 0.5, "weights": [1.0],
+}
 
 
 @pytest.mark.parametrize(
@@ -429,9 +442,19 @@ def _no_mixture_centers(doc):
         (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "terminals"}),
          "lists terminals None"),
         (lambda doc: json.dumps({**doc, "terminals": 3}), "lists terminals 3"),
-        (_no_mixture_centers, "mixture target without centers"),
+        (_target({k: v for k, v in _MIXTURE.items() if k != "centers"}),
+         "mixture target without centers"),
+        (lambda doc: json.dumps({**doc, "config": 3}), "config or its target is 3"),
+        (_target([1, 2]), "config or its target is [1, 2]"),
+        (_target({**_MIXTURE, "sigma2": "a"}), "mixture target that cannot be built"),
+        (_target({**_MIXTURE, "centers": [[0.0, "x"]]}), "mixture target that cannot be built"),
+        (_target({**_MIXTURE, "weights": None}), "mixture target that cannot be built"),
+        (_target({**_MIXTURE, "weights": [0.5]}), "weights must be nonnegative"),
     ],
-    ids=["truncated", "list", "no-terminals", "int-terminals", "no-centers"],
+    ids=[
+        "truncated", "list", "no-terminals", "int-terminals", "no-centers", "int-config",
+        "list-target", "text-sigma2", "text-center", "null-weights", "bad-weights",
+    ],
 )
 def test_diagnose_rejects_a_malformed_summary(tmp_path, capsys, summary, words):
     out = _recorded_run(tmp_path, capsys)
@@ -440,6 +463,40 @@ def test_diagnose_rejects_a_malformed_summary(tmp_path, capsys, summary, words):
     assert main(["diagnose", "--run", str(out), "--bootstrap", "0"]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and words in err
+
+
+# a fresh process that imports the package, diagnoses a run, then samples,
+# and prints after each whether scipy is loaded
+_SCIPY_PROBE = """
+import json, sys
+import hpid, hpid.cli
+seen = ["scipy" in sys.modules]
+assert hpid.cli.main(["diagnose", "--run", sys.argv[1], "--bootstrap", "20"]) == 0
+seen.append("scipy" in sys.modules)
+argv = ["sample-empirical", "--data", sys.argv[2], "--beta", "0.8", "--steps", "4"]
+argv += ["--samples", "2", "--seed", "1", "--out", sys.argv[3], "--threads", "1"]
+assert hpid.cli.main(argv) == 0
+seen.append("scipy" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_on_the_first_draw_not_on_import(tmp_path, capsys):
+    # scipy.special takes more time to import than the rest of the package:
+    # only the normal draws need it, so reading results never loads it
+    out = _recorded_run(tmp_path, capsys)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    argv = [str(out), str(tmp_path / "gt.csv"), str(tmp_path / "again")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    after_import, after_diagnose, after_sample = json.loads(proc.stdout.splitlines()[-1])
+    assert not after_import and not after_diagnose
+    assert after_sample
 
 
 def test_diagnose_exits_2_on_any_truncated_input(tmp_path, capsys):

@@ -15,6 +15,9 @@ of json.dump or np.savetxt outside src/hpid/targets.py: every JSON file
 and table the package writes has its format there, once. And it fails on
 a call in src/hpid that passes where= to a ufunc: a masked ufunc leaves
 numpy's vector loop, so a mask is applied by a multiply or a select.
+And it fails on a scipy import in src/hpid that runs when its module is
+imported, one outside every function body: scipy takes longer to import
+than the package itself, so it loads where it is first needed.
 """
 
 import ast
@@ -247,3 +250,44 @@ def test_package_passes_no_where_to_a_ufunc():
         for line, name in _masked_calls(ast.parse(path.read_text(), str(path)))
     ]
     assert not masked, "where= passed in src/hpid:\n" + "\n".join(masked)
+
+
+def _import_time_scipy(tree):
+    """(line, module) of each scipy import that runs when tree's module is
+    imported: one that no function body holds."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+            found.extend((node.lineno, n) for n in names if n.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "scipy":
+                found.append((node.lineno, node.module))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_scan_flags_an_import_time_scipy():
+    tree = ast.parse(
+        "import scipy.special as sp\nfrom .rng import ndtri\n"
+        "def f():\n    from scipy.special import ndtri\n"
+        "class A:\n    from scipy import stats\n"
+        "if True:\n    import numpy, scipy\n"
+        "g = lambda: __import__('scipy')\n"
+    )
+    assert _import_time_scipy(tree) == [(1, "scipy.special"), (6, "scipy"), (8, "scipy")]
+
+
+def test_package_imports_scipy_only_where_it_is_used():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src/hpid").rglob("*.py"))
+        for line, name in _import_time_scipy(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, "scipy imported with its module in src/hpid:\n" + "\n".join(found)

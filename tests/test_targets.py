@@ -25,17 +25,28 @@ from hpid.targets import (
 
 
 def test_mixture_value_is_logsumexp_of_components():
+    # batched (..., n, d) points, one far point and a zero-weight component
     m = GaussianMixtureEnergy(
-        centers=np.array([[2.0, 0.0], [-2.0, 1.0]]),
+        centers=np.array([[2.0, 0.0], [-2.0, 1.0], [0.5, 0.5]]),
         sigma2=0.5,
-        weights=np.array([0.3, 0.7]),
+        weights=np.array([0.3, 0.7, 0.0]),
     )
-    y = np.array([0.4, -0.6])
-    comps = [
-        np.log(w) - np.sum((y - c) ** 2) / (2 * 0.5)
-        for w, c in zip(m.weights, m.centers)
-    ]
-    assert_allclose(m.value(y), -logsumexp(comps), rtol=1e-13)
+    y = np.random.default_rng(3).normal(size=(2, 5, 2)) * 3.0
+    y[0, 0] = [0.4, -0.6]
+    y[1, 4] = [400.0, -250.0]
+    with np.errstate(divide="ignore"):
+        comps = np.log(m.weights) - ((y[..., None, :] - m.centers) ** 2).sum(-1) / (2 * 0.5)
+    expected = -logsumexp(comps, axis=-1)
+    assert_allclose(m.value(y), expected, rtol=1e-13)
+    assert_allclose(m.value(y[0, 0]), expected[0, 0], rtol=1e-13)
+    # an infinite coordinate is infinitely far from every center, a NaN one
+    # stays NaN, and neither reaches the points beside it
+    y[0, 1:4] = [[np.inf, 0.0], [-np.inf, 1.0], [0.0, np.nan]]
+    got = m.value(y)
+    assert got[0, 1] == np.inf and got[0, 2] == np.inf and np.isnan(got[0, 3])
+    keep = np.ones(y.shape[:-1], dtype=bool)
+    keep[0, 1:4] = False
+    assert_allclose(got[keep], expected[keep], rtol=1e-13)
 
 
 def test_mixture_zero_weight_component_is_ignored():
